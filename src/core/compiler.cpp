@@ -21,6 +21,10 @@ namespace tqec::core {
 
 namespace {
 
+/// Whitespace-escalation levels run per attempt: y_gap = 0 (the tightest
+/// packing) up to this final level, which always routes to completion.
+constexpr int kFinalYGap = 1;
+
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -57,6 +61,15 @@ bool emitted_defects_have_disjoint_segments(const geom::GeomDescription& g) {
 #endif
 
 }  // namespace
+
+const char* pass_outcome_name(PassOutcome outcome) {
+  switch (outcome) {
+    case PassOutcome::Legal: return "legal";
+    case PassOutcome::Illegal: return "illegal";
+    case PassOutcome::Abandoned: return "abandoned";
+  }
+  return "illegal";
+}
 
 void emit_cell_runs(geom::Defect& defect, std::vector<Vec3> cells) {
   if (cells.empty()) return;
@@ -287,7 +300,7 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     const int thread_split = std::max(
         1, jobs / static_cast<int>(
                       std::min(attempts, static_cast<std::size_t>(jobs))));
-    for (const int y_gap : {0, 1}) {
+    for (int y_gap = 0; y_gap <= kFinalYGap; ++y_gap) {
       // Cooperative cancellation between escalation levels. The attempt
       // just stops early (leaving its outcome illegal/empty); the stage
       // boundary after the join raises CancelledError on the calling
@@ -307,7 +320,10 @@ CompileResult compile(const icm::IcmCircuit& circuit,
       if (place_opt.threads == 0)
         place_opt.threads = warm_chain ? jobs : thread_split;
       a.placement = place_modules(nodes, place_opt);
-      a.stats.place_s += seconds_since(t_stage);
+      PassStats pass;
+      pass.y_gap = y_gap;
+      pass.place_s = seconds_since(t_stage);
+      a.stats.place_s += pass.place_s;
 
       t_stage = std::chrono::steady_clock::now();
       route::RouteOptions route_opt = options.route;
@@ -318,14 +334,27 @@ CompileResult compile(const icm::IcmCircuit& circuit,
       // wall-clock heuristic.
       if (route_opt.threads == 0)
         route_opt.threads = warm_chain ? jobs : thread_split;
+      route_opt.abandon_at_plateau =
+          options.abandon_plateaued_levels && y_gap < kFinalYGap;
       a.routing = warm_chain
                       ? route::route_nets(nodes, a.placement, route_opt,
                                           &attempt_in, &chained_memory)
                       : route::route_nets(nodes, a.placement, route_opt);
-      a.stats.route_s += seconds_since(t_stage);
+      pass.route_s = seconds_since(t_stage);
+      a.stats.route_s += pass.route_s;
       a.stats.y_gap = y_gap;
+      pass.iterations = a.routing.iterations;
+      pass.overused_per_iter = a.routing.overused_per_iter;
+      pass.queue_pops = a.routing.queue_pops;
+      pass.outcome = a.routing.legal       ? PassOutcome::Legal
+                     : a.routing.abandoned ? PassOutcome::Abandoned
+                                           : PassOutcome::Illegal;
+      a.stats.passes.push_back(pass);
       if (a.routing.legal) break;
       TQEC_LOG_INFO("attempt " << k << ": routing illegal at y-gap " << y_gap
+                               << (a.routing.abandoned
+                                       ? " (abandoned at its first plateau)"
+                                       : "")
                                << "; escalating whitespace");
     }
     a.stats.volume = a.routing.volume;
@@ -661,6 +690,19 @@ std::string stats_json(const CompileResult& result) {
     for (std::size_t r = 0; r < a.sa_replica_curves.size(); ++r) {
       if (r > 0) os << ", ";
       emit_sa_curve(os, a.sa_replica_curves[r]);
+    }
+    os << "], \"passes\": [";
+    for (std::size_t p = 0; p < a.passes.size(); ++p) {
+      const PassStats& pass = a.passes[p];
+      if (p > 0) os << ", ";
+      os << "{\"y_gap\": " << pass.y_gap
+         << ", \"place_s\": " << json_double(pass.place_s)
+         << ", \"route_s\": " << json_double(pass.route_s)
+         << ", \"iterations\": " << pass.iterations
+         << ", \"overused_per_iter\": ";
+      emit_number_array(os, pass.overused_per_iter);
+      os << ", \"queue_pops\": " << pass.queue_pops << ", \"outcome\": \""
+         << pass_outcome_name(pass.outcome) << "\"}";
     }
     os << "]}";
   }

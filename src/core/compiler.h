@@ -80,8 +80,35 @@ struct CompileOptions {
   /// "emit_geometry", "done") — the same boundaries the trace spans mark.
   /// Must not throw; may call cancel.cancel() (a deadline watchdog does).
   std::function<void(const char* stage)> progress;
+  /// Let every whitespace-escalation level but the last give up at its
+  /// first congestion plateau (route::RouteOptions::abandon_at_plateau)
+  /// instead of negotiating and repairing to the end before escalating.
+  /// The final level always runs to completion, and compile() overrides
+  /// route.abandon_at_plateau per level from this field.
+  bool abandon_plateaued_levels = true;
   place::PlaceOptions place;
   route::RouteOptions route;
+};
+
+/// How one whitespace-escalation level of an attempt ended.
+enum class PassOutcome : std::uint8_t {
+  Legal,
+  Illegal,
+  Abandoned,  // gave up at its first congestion plateau
+};
+
+const char* pass_outcome_name(PassOutcome outcome);
+
+/// Observability record of one whitespace-escalation level (one place +
+/// route pass) of an attempt.
+struct PassStats {
+  int y_gap = 0;
+  double place_s = 0;
+  double route_s = 0;
+  int iterations = 0;
+  std::vector<int> overused_per_iter;
+  std::int64_t queue_pops = 0;
+  PassOutcome outcome = PassOutcome::Illegal;
 };
 
 /// Observability record of one place+route attempt of the multi-seed
@@ -92,8 +119,11 @@ struct PlaceAttemptStats {
   bool legal = false;
   bool selected = false;  // this attempt produced the final result
   int y_gap = 0;          // whitespace-escalation level that finished it
-  double place_s = 0;
-  double route_s = 0;
+  double place_s = 0;     // summed over `passes`
+  double route_s = 0;     // summed over `passes`
+  /// Every whitespace-escalation level run, in order (the last one
+  /// finished the attempt).
+  std::vector<PassStats> passes;
   int sa_iterations = 0;
   int sa_accepted = 0;
   int sa_rejected = 0;

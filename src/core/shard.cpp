@@ -74,7 +74,8 @@ std::string options_fingerprint(const CompileOptions& o,
      << "|effort=" << o.effort << "|plan=" << o.plan_flips
      << "|ish=" << o.enable_ishape << "|pri=" << o.enable_primal
      << "|dual=" << o.enable_dual << "|prestarts=" << o.primal_restarts
-     << "|attempts=" << o.place_restarts;
+     << "|attempts=" << o.place_restarts
+     << "|abandon=" << o.abandon_plateaued_levels;
   const place::PlaceOptions& p = o.place;
   os << "|p.layers=" << p.layers << "|p.alpha=" << p.alpha_volume
      << "|p.beta=" << p.beta_wire

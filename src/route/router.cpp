@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -430,6 +431,13 @@ RoutingResult Router::run() {
       result.legal = true;
       break;
     }
+    if (plateau_abandons(result.overused_per_iter, opt_.abandon_at_plateau)) {
+      TQEC_LOG_DEBUG("pathfinder iter " << iter + 1 << ": plateau at "
+                                        << overused
+                                        << " overused cells; abandoning");
+      result.abandoned = true;
+      break;
+    }
     present_factor =
         std::min(present_factor * opt_.present_growth, opt_.present_max);
     // Negotiation stalled on persistently contested cells: stop and
@@ -464,7 +472,8 @@ RoutingResult Router::run() {
   // and reroute the losers with the cell removed from the fabric. The free
   // margin always offers a detour unless the cell was a pin-access cut,
   // in which case the result stays honestly illegal.
-  for (int scan = 0; !result.legal && scan < 20; ++scan) {
+  for (int scan = 0; !result.legal && !result.abandoned && scan < 20;
+       ++scan) {
     // Collect every currently overused cell in one fabric pass.
     std::vector<std::size_t> contested;
     for (std::size_t i = 0; i < fabric_.cell_count(); ++i)
@@ -640,7 +649,9 @@ RoutingResult Router::run() {
   }
   result.volume = result.bounding.volume();
   TQEC_LOG_INFO("routing: " << components << " components, legal="
-                            << result.legal << " iters=" << result.iterations
+                            << result.legal
+                            << (result.abandoned ? " (abandoned)" : "")
+                            << " iters=" << result.iterations
                             << " wire=" << result.total_wire
                             << " reroutes=" << result.reroutes_total
                             << " batches=" << result.batches
@@ -650,6 +661,18 @@ RoutingResult Router::run() {
 }
 
 }  // namespace
+
+bool plateau_abandons(const std::vector<int>& overused_per_iter,
+                      bool may_abandon) {
+  if (!may_abandon || overused_per_iter.size() < 2 ||
+      overused_per_iter.back() < kAbandonOverused)
+    return false;
+  // The first adjacent pair whose count did not fall must end the series.
+  const auto first_plateau =
+      std::adjacent_find(overused_per_iter.begin(), overused_per_iter.end(),
+                         std::less_equal<>());
+  return first_plateau + 2 == overused_per_iter.end();
+}
 
 RoutingResult route_nets(const place::NodeSet& nodes,
                          const place::Placement& placement,

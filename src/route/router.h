@@ -115,7 +115,30 @@ struct RouteOptions {
   /// `--route-warm-start`): carry PathFinder history costs and final route
   /// windows from one attempt into the next via NegotiationMemory.
   bool warm_start = true;
+  /// Fail fast at the first congestion plateau (see plateau_abandons):
+  /// skip the remaining iterations and the hard-block repair and return
+  /// legal=false with `abandoned` set. Off by default, so a plain
+  /// route_nets call always runs to completion; core::compile switches it
+  /// on for its non-final whitespace-escalation levels only
+  /// (CompileOptions::abandon_plateaued_levels).
+  bool abandon_at_plateau = false;
 };
+
+/// Overused-cell count at or above which a pass that plateaus is given up
+/// (RouteOptions::abandon_at_plateau). Measured margin on the
+/// bench/escalation_corpus set: no pass that converges first plateaus
+/// above 6 cells, while the failing y_gap=0 passes the rule catches
+/// plateau at 10-28.
+inline constexpr int kAbandonOverused = 10;
+
+/// The fail-fast decision on a negotiation's overused-cell series so far
+/// (one entry per finished iteration): true when `may_abandon` is set and
+/// the last iteration is the series' first that did not reduce the
+/// overused count — the point where the negotiation would start its
+/// stall-triggered full sweeps — with at least kAbandonOverused cells
+/// still overused. A pure function, so recorded series can be replayed.
+bool plateau_abandons(const std::vector<int>& overused_per_iter,
+                      bool may_abandon);
 
 /// Negotiation state carried between route_nets calls (core::compile's
 /// multi-seed restart loop): decayed PathFinder history costs addressed by
@@ -141,6 +164,10 @@ struct RoutedNet {
 struct RoutingResult {
   std::vector<RoutedNet> nets;
   bool legal = false;
+  /// The pass gave up at its first congestion plateau
+  /// (RouteOptions::abandon_at_plateau); legal is false and no hard-block
+  /// repair ran.
+  bool abandoned = false;
   int iterations = 0;
   int overused_cells = 0;
   std::int64_t total_wire = 0;  // summed route cells

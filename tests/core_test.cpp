@@ -3,6 +3,8 @@
 // preservation through routing, determinism, and mode comparisons.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <set>
 #include <unordered_map>
 
@@ -12,6 +14,7 @@
 #include "core/compiler.h"
 #include "core/paper_tables.h"
 #include "geom/canonical.h"
+#include "geom/geometry.h"
 #include "geom/validate.h"
 #include "icm/workload.h"
 
@@ -229,6 +232,25 @@ TEST(CompileTest, StatsJsonV2RoundTrips) {
     const json::Value& overused = a.at("route_overused_per_iter");
     ASSERT_EQ(overused.array.size(), stats.route_overused_per_iter.size());
 
+    // One record per whitespace-escalation level.
+    const json::Value& passes = a.at("passes");
+    ASSERT_EQ(passes.array.size(), stats.passes.size());
+    ASSERT_FALSE(passes.array.empty());
+    for (std::size_t p = 0; p < passes.array.size(); ++p) {
+      const json::Value& pass = passes.array[p];
+      const PassStats& want = stats.passes[p];
+      EXPECT_EQ(pass.at("y_gap").as_int(), want.y_gap);
+      EXPECT_TRUE(pass.at("place_s").is_number());
+      EXPECT_TRUE(pass.at("route_s").is_number());
+      EXPECT_EQ(pass.at("iterations").as_int(), want.iterations);
+      EXPECT_EQ(pass.at("overused_per_iter").array.size(),
+                want.overused_per_iter.size());
+      EXPECT_EQ(pass.at("queue_pops").as_int(), want.queue_pops);
+      EXPECT_EQ(pass.at("outcome").as_string(),
+                pass_outcome_name(want.outcome));
+    }
+    EXPECT_EQ(passes.array.back().at("y_gap").as_int(), stats.y_gap);
+
     // SA convergence curve: three equal-length numeric columns.
     const json::Value& curve = a.at("sa_curve");
     const json::Value& cost = curve.at("cost");
@@ -328,6 +350,78 @@ TEST(CompileTest, TracingDoesNotChangeResults) {
   for (std::size_t i = 0; i < on.placement.module_cell.size(); ++i)
     EXPECT_EQ(on.placement.module_cell[i], off.placement.module_cell[i]);
 }
+
+// Fail-fast escalation (CompileOptions::abandon_plateaued_levels) must
+// not move any result: 4gt10 and 4gt4 route at y_gap=0, where the rule
+// must never fire; rd84_142 at workload seed 1 fails y_gap=0 and the rule
+// gives that level up at its first plateau.
+struct AbandonCase {
+  const char* benchmark;
+  std::uint64_t workload_seed;
+  bool abandons;
+
+  // Keeps the discovered test names stable (the default printer dumps the
+  // bytes of the name pointer).
+  friend void PrintTo(const AbandonCase& c, std::ostream* os) {
+    *os << c.benchmark << "@" << c.workload_seed;
+  }
+};
+
+class AbandonOnOffTest : public ::testing::TestWithParam<AbandonCase> {};
+
+TEST_P(AbandonOnOffTest, BitIdenticalGeometry) {
+  const AbandonCase c = GetParam();
+  const icm::IcmCircuit circuit = icm::make_workload(
+      workload_spec(paper_benchmark(c.benchmark), c.workload_seed));
+  CompileOptions opt;
+  ASSERT_TRUE(opt.abandon_plateaued_levels);  // on by default
+  const CompileResult on = compile(circuit, opt);
+  opt.abandon_plateaued_levels = false;
+  const CompileResult off = compile(circuit, opt);
+
+  EXPECT_TRUE(on.routed_legal);
+  EXPECT_EQ(on.volume, off.volume);
+  EXPECT_EQ(geom::to_json(on.geometry), geom::to_json(off.geometry));
+
+  const PlaceAttemptStats& a_on = on.timings.attempts.at(0);
+  const PlaceAttemptStats& a_off = off.timings.attempts.at(0);
+  ASSERT_EQ(a_on.passes.size(), a_off.passes.size());
+  EXPECT_EQ(a_on.passes.back().outcome, PassOutcome::Legal);
+  EXPECT_EQ(a_on.passes.back().y_gap, a_on.y_gap);
+  double route_s = 0;
+  for (const PassStats& p : a_on.passes) route_s += p.route_s;
+  EXPECT_DOUBLE_EQ(a_on.route_s, route_s);
+  if (!c.abandons) {
+    ASSERT_EQ(a_on.passes.size(), 1u);
+    EXPECT_EQ(a_on.passes[0].overused_per_iter,
+              a_off.passes[0].overused_per_iter);
+    return;
+  }
+  ASSERT_EQ(a_on.passes.size(), 2u);
+  const PassStats& abandoned = a_on.passes[0];
+  EXPECT_EQ(abandoned.y_gap, 0);
+  EXPECT_EQ(abandoned.outcome, PassOutcome::Abandoned);
+  EXPECT_EQ(a_off.passes[0].outcome, PassOutcome::Illegal);
+  // Abandoning cuts the failing series at its first plateau.
+  ASSERT_LT(abandoned.overused_per_iter.size(),
+            a_off.passes[0].overused_per_iter.size());
+  EXPECT_TRUE(std::equal(abandoned.overused_per_iter.begin(),
+                         abandoned.overused_per_iter.end(),
+                         a_off.passes[0].overused_per_iter.begin()));
+  EXPECT_LT(abandoned.queue_pops, a_off.passes[0].queue_pops);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EscalationRows, AbandonOnOffTest,
+    ::testing::Values(AbandonCase{"4gt10-v1_81", 7, false},
+                      AbandonCase{"4gt4-v0_73", 7, false},
+                      AbandonCase{"rd84_142", 1, true}),
+    [](const ::testing::TestParamInfo<AbandonCase>& info) {
+      std::string name = info.param.benchmark;
+      for (char& ch : name)
+        if (ch == '-') ch = '_';
+      return name + "_seed" + std::to_string(info.param.workload_seed);
+    });
 
 class EndToEndTest : public ::testing::TestWithParam<std::size_t> {};
 

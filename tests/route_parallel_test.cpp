@@ -21,6 +21,8 @@
 #include "compress/dual_bridging.h"
 #include "compress/flipping.h"
 #include "compress/ishape.h"
+#include "core/compiler.h"
+#include "core/paper_tables.h"
 #include "icm/workload.h"
 #include "place/nodes.h"
 #include "place/placer.h"
@@ -108,6 +110,7 @@ GridFixture random_fixture(std::uint64_t seed) {
 /// plus every schedule statistic the result exposes.
 void expect_identical(const RoutingResult& a, const RoutingResult& b) {
   EXPECT_EQ(a.legal, b.legal);
+  EXPECT_EQ(a.abandoned, b.abandoned);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.overused_cells, b.overused_cells);
   EXPECT_EQ(a.total_wire, b.total_wire);
@@ -189,25 +192,30 @@ void expect_v5(const place::Placement& placement, const RoutingResult& r) {
             << box.origin;
 }
 
-RouteOptions options_with(int threads, bool serial, int margin = 4) {
+RouteOptions options_with(int threads, bool serial, int margin = 4,
+                          bool abandon = false) {
   RouteOptions opt;
   opt.threads = threads;
   opt.serial_schedule = serial;
   opt.margin = margin;
+  opt.abandon_at_plateau = abandon;
   return opt;
 }
 
+/// Threads {1, 2, 8}, with plateau abandoning off and on.
 void expect_thread_invariance(const place::NodeSet& nodes,
                               const place::Placement& placement,
                               bool serial, int margin = 4) {
-  const RoutingResult one =
-      route_nets(nodes, placement, options_with(1, serial, margin));
-  for (const int threads : {2, 8}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "threads=" << threads << " serial=" << serial);
-    const RoutingResult many =
-        route_nets(nodes, placement, options_with(threads, serial, margin));
-    expect_identical(one, many);
+  for (const bool abandon : {false, true}) {
+    const RoutingResult one = route_nets(
+        nodes, placement, options_with(1, serial, margin, abandon));
+    for (const int threads : {2, 8}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " serial="
+                                        << serial << " abandon=" << abandon);
+      const RoutingResult many = route_nets(
+          nodes, placement, options_with(threads, serial, margin, abandon));
+      expect_identical(one, many);
+    }
   }
 }
 
@@ -262,6 +270,40 @@ TEST(RouteParallelTest, SaFlowIdenticalAcrossThreadCounts) {
   popt.seed = 11;
   const place::Placement placement = place::place_modules(nodes, popt);
   expect_thread_invariance(nodes, placement, /*serial=*/false);
+}
+
+// A pass that does abandon: rd84_142 at workload seed 1, placed as
+// core::compile places its y_gap=0 level, plateaus at 14 overused cells in
+// iteration 6. The early exit (no repair) must be thread-invariant too.
+TEST(RouteParallelTest, AbandonedPassIdenticalAcrossThreadCounts) {
+  core::CompileOptions copt;
+  copt.keep_internals = true;
+  copt.emit_geometry = false;
+  const core::CompileResult compiled = core::compile(
+      icm::make_workload(
+          core::workload_spec(core::paper_benchmark("rd84_142"), 1)),
+      copt);
+  ASSERT_NE(compiled.internals, nullptr);
+  const place::NodeSet& nodes = compiled.internals->nodes;
+  place::PlaceOptions popt;
+  popt.seed = copt.seed;
+  popt.threads = 1;
+  const place::Placement placement = place::place_modules(nodes, popt);
+
+  RouteOptions opt = options_with(1, false);
+  opt.seed = copt.seed;
+  opt.abandon_at_plateau = true;
+  const RoutingResult one = route_nets(nodes, placement, opt);
+  EXPECT_TRUE(one.abandoned);
+  EXPECT_FALSE(one.legal);
+  EXPECT_EQ(one.repair_awarded + one.repair_failed, 0);
+  ASSERT_EQ(one.overused_per_iter.size(), 6u);
+  EXPECT_EQ(one.overused_per_iter.back(), 14);
+  for (const int threads : {2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    opt.threads = threads;
+    expect_identical(one, route_nets(nodes, placement, opt));
+  }
 }
 
 // Satellite regression: every stats field of the routing result — the

@@ -447,5 +447,37 @@ TEST(RepairTest, AwardBlockReleasedBetweenScans) {
   EXPECT_FALSE(a_cells.count({5, 0, 2}));  // Y stays with C
 }
 
+// Fail-fast escalation rule on recorded y_gap=0 overuse series. The rule
+// looks only at the series, so replaying it over every prefix reproduces
+// the decision route_nets makes after each iteration.
+int abandon_iteration(const std::vector<int>& series, bool may_abandon) {
+  for (std::size_t n = 1; n <= series.size(); ++n)
+    if (plateau_abandons({series.begin(), series.begin() + n}, may_abandon))
+      return static_cast<int>(n);
+  return 0;
+}
+
+TEST(PlateauAbandonTest, ConvergingSeriesNeverAbandons) {
+  // rd84_142 at workload seed 2: the largest plateau any converging pass
+  // of the corpus reaches (6 cells) before it legalizes.
+  EXPECT_EQ(abandon_iteration({310, 56, 32, 16, 9, 6, 6, 6, 6, 6}, true), 0);
+}
+
+TEST(PlateauAbandonTest, FailingSeriesAbandonsAtFirstPlateau) {
+  // cycle17_3_112 at workload seed 7: first non-decrease at iteration 8.
+  const std::vector<int> cycle17 = {1118, 193, 87, 46, 35, 25, 19, 19};
+  EXPECT_EQ(abandon_iteration(cycle17, true), 8);
+  // A final-level pass is never allowed to abandon.
+  EXPECT_EQ(abandon_iteration(cycle17, false), 0);
+}
+
+TEST(PlateauAbandonTest, OnlyTheFirstPlateauCounts) {
+  EXPECT_EQ(abandon_iteration({30, 10, 10}, true), 3);  // threshold inclusive
+  EXPECT_EQ(abandon_iteration({30, 9, 9}, true), 0);
+  EXPECT_EQ(abandon_iteration({30, 12, 14}, true), 3);  // a rise plateaus too
+  // Past a low first plateau, later rises never abandon.
+  EXPECT_EQ(abandon_iteration({40, 20, 8, 8, 12, 12, 15}, true), 0);
+}
+
 }  // namespace
 }  // namespace tqec::route

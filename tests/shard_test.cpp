@@ -321,6 +321,16 @@ TEST_F(CheckpointTest, OptionChangeInvalidatesRecords) {
   const core::CompileResult other =
       core::compile_sharded(circuit, opt, shard);
   EXPECT_EQ(other.shard.windows_resumed, 0);
+
+  // Escalation semantics are part of the fingerprint too: records written
+  // with plateau abandoning on are recompiled, not resumed, when it is off.
+  opt.abandon_plateaued_levels = false;
+  const core::CompileResult full_levels =
+      core::compile_sharded(circuit, opt, shard);
+  EXPECT_EQ(full_levels.shard.windows_resumed, 0);
+  const core::CompileResult again =
+      core::compile_sharded(circuit, opt, shard);
+  EXPECT_EQ(again.shard.windows_resumed, again.shard.windows_total);
 }
 
 // ---------------------------------------------------------------------------

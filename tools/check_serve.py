@@ -12,7 +12,10 @@ introspection commands and asserts:
     and 1 miss, and a serve.request_s histogram with exactly 3 samples;
   * {"admin": "metrics_text"} is parseable OpenMetrics text exposition
     ending in "# EOF";
-  * the access log holds one well-formed JSON line per request.
+  * the access log holds one well-formed JSON line per request;
+  * on a fresh daemon, a compile with "stats": true answers on exactly one
+    line (JSONL framing) whose embedded report carries the per-level
+    "passes" records, and the next response starts on the next line.
 
 Usage: check_serve.py path/to/tqec_serve [--artifacts DIR]
 
@@ -178,6 +181,43 @@ def check_access_log(path):
     return lines
 
 
+def check_stats_framing(binary):
+    """A "stats": true response must be one JSON line: read exactly two
+    lines for two requests and parse each on its own."""
+    proc = subprocess.Popen(
+        [binary, "--threads=1"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        send(proc, {"id": "stats", "icm": ICM, "stats": True})
+        first = proc.stdout.readline()
+        send(proc, {"id": "health", "admin": "health"})
+        second = proc.stdout.readline()
+        proc.stdin.close()
+        proc.wait(timeout=120)
+    except BaseException:
+        proc.kill()
+        raise
+    assert proc.returncode == 0, (
+        f"tqec_serve exited {proc.returncode}: {proc.stderr.read()}"
+    )
+    try:
+        stats_doc = json.loads(first)
+    except json.JSONDecodeError as e:
+        raise AssertionError(
+            f"stats response is not one JSON line ({e}): {first[:200]!r}")
+    assert stats_doc["id"] == "stats" and stats_doc["ok"], stats_doc
+    attempts = stats_doc["stats"]["attempts"]
+    assert attempts and attempts[0]["passes"], attempts
+    for p in attempts[0]["passes"]:
+        assert p["outcome"] in ("legal", "illegal", "abandoned"), p
+    health = json.loads(second)
+    assert health["id"] == "health" and health["admin"] == "health", health
+
+
 def main():
     args = sys.argv[1:]
     artifacts = None
@@ -221,6 +261,7 @@ def main():
         serve = check_metrics(admin["metrics"])
         text = check_metrics_text(admin["text"])
         access_lines = check_access_log(access_log)
+        check_stats_framing(args[0])
 
         if artifacts:
             os.makedirs(artifacts, exist_ok=True)

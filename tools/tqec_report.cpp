@@ -125,6 +125,41 @@ void render_attempts(const Value& stats) {
                 selected != nullptr && selected->is_bool() && selected->boolean
                     ? "  <-- selected" : "");
   }
+  // Every whitespace-escalation level of every attempt (stats v2 with
+  // per-level records).
+  bool passes_header = false;
+  for (std::size_t k = 0; k < attempts->array.size(); ++k) {
+    const Value* passes = attempts->array[k].find("passes");
+    if (passes == nullptr || !passes->is_array()) continue;
+    for (const Value& p : passes->array) {
+      if (!passes_header) {
+        std::printf("\n  escalation levels\n");
+        std::printf("    %3s %6s %9s %9s %6s %12s %-10s %s\n", "#", "y_gap",
+                    "place_s", "route_s", "iters", "queue_pops", "outcome",
+                    "overused/iter");
+        passes_header = true;
+      }
+      const Value* outcome = p.find("outcome");
+      const Value* over_v = p.find("overused_per_iter");
+      const std::vector<double> over =
+          over_v != nullptr ? numbers_of(*over_v) : std::vector<double>{};
+      std::string trend = "-";
+      if (!over.empty()) {
+        char range[48];
+        std::snprintf(range, sizeof range, "  [%.0f -> %.0f]", over.front(),
+                      over.back());
+        trend = sparkline(over, 24) + range;
+      }
+      std::printf("    %3zu %6.0f %9.3f %9.3f %6.0f %12.0f %-10s %s\n", k,
+                  num_or(p, "y_gap", 0), num_or(p, "place_s", 0),
+                  num_or(p, "route_s", 0), num_or(p, "iterations", 0),
+                  num_or(p, "queue_pops", 0),
+                  outcome != nullptr && outcome->is_string()
+                      ? outcome->string.c_str()
+                      : "?",
+                  trend.c_str());
+    }
+  }
   // SA convergence and per-iteration overuse of the selected attempt.
   for (const Value& a : attempts->array) {
     const Value* selected = a.find("selected");

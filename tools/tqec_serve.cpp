@@ -253,8 +253,12 @@ std::string response_line(const std::string& id, const CompileResponse& r,
            ", \"stitch_s\": " + fmt_double(sh.stitch_s) + "}";
   }
   if (want_stats) {
-    // stats_json emits a complete JSON object: splice it in verbatim.
-    out += ", \"stats\": " + core::stats_json(res);
+    // stats_json emits a complete, pretty-printed JSON object. Its string
+    // values escape every control character, so each raw newline is
+    // layout between tokens: drop them to keep the response on one line.
+    std::string stats = core::stats_json(res);
+    std::erase(stats, '\n');
+    out += ", \"stats\": " + stats;
   }
   if (!debug.empty()) out += ", \"debug\": " + debug;
   return out + "}";
