@@ -22,7 +22,10 @@
 //          circuits, and 2 long circuits.
 // --jobs runs that many inputs concurrently (each compile itself uses one
 // thread). Everything but the timings is identical for any --jobs value;
-// the closing "corpus digest" line folds all of it into one hash.
+// the closing "corpus digest" line folds all of it into one hash. CI
+// compares the ci set's digest with bench/escalation_corpus_ci.digest;
+// re-record that file when a change moves a volume, a geometry or a pass
+// outcome on purpose.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -187,13 +190,18 @@ std::string describe_passes(const std::vector<core::PassStats>& passes) {
   std::string out;
   char buf[64];
   if (passes.size() > 3) {
-    int counts[3] = {0, 0, 0};
+    int counts[4] = {0, 0, 0, 0};
     for (const core::PassStats& p : passes)
       ++counts[static_cast<int>(p.outcome)];
     std::snprintf(buf, sizeof buf, "%zu levels: %d legal %d illegal %d "
                   "abandoned", passes.size(), counts[0], counts[1],
                   counts[2]);
-    return buf;
+    out = buf;
+    if (counts[3] > 0) {
+      std::snprintf(buf, sizeof buf, " %d unroutable", counts[3]);
+      out += buf;
+    }
+    return out;
   }
   for (const core::PassStats& p : passes) {
     std::snprintf(buf, sizeof buf, "%sy%d:%s@%d", out.empty() ? "" : " ",

@@ -21,9 +21,12 @@ namespace tqec::core {
 
 namespace {
 
-/// Whitespace-escalation levels run per attempt: y_gap = 0 (the tightest
-/// packing) up to this final level, which always routes to completion.
-constexpr int kFinalYGap = 1;
+/// Whitespace-escalation levels run per attempt, each only when the one
+/// before ended illegal: y_gap = 0 (the tightest packing, the only level
+/// that may abandon at its first plateau), y_gap = 1 (routes to completion
+/// and finishes every input known to route), and y_gap = 2, a last resort
+/// for inputs still illegal at 1.
+constexpr int kLastResortYGap = 2;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -67,6 +70,7 @@ const char* pass_outcome_name(PassOutcome outcome) {
     case PassOutcome::Legal: return "legal";
     case PassOutcome::Illegal: return "illegal";
     case PassOutcome::Abandoned: return "abandoned";
+    case PassOutcome::Unroutable: return "unroutable";
   }
   return "illegal";
 }
@@ -300,7 +304,7 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     const int thread_split = std::max(
         1, jobs / static_cast<int>(
                       std::min(attempts, static_cast<std::size_t>(jobs))));
-    for (int y_gap = 0; y_gap <= kFinalYGap; ++y_gap) {
+    for (int y_gap = 0; y_gap <= kLastResortYGap; ++y_gap) {
       // Cooperative cancellation between escalation levels. The attempt
       // just stops early (leaving its outcome illegal/empty); the stage
       // boundary after the join raises CancelledError on the calling
@@ -335,7 +339,7 @@ CompileResult compile(const icm::IcmCircuit& circuit,
       if (route_opt.threads == 0)
         route_opt.threads = warm_chain ? jobs : thread_split;
       route_opt.abandon_at_plateau =
-          options.abandon_plateaued_levels && y_gap < kFinalYGap;
+          options.abandon_plateaued_levels && y_gap == 0;
       a.routing = warm_chain
                       ? route::route_nets(nodes, a.placement, route_opt,
                                           &attempt_in, &chained_memory)
@@ -346,14 +350,18 @@ CompileResult compile(const icm::IcmCircuit& circuit,
       pass.iterations = a.routing.iterations;
       pass.overused_per_iter = a.routing.overused_per_iter;
       pass.queue_pops = a.routing.queue_pops;
-      pass.outcome = a.routing.legal       ? PassOutcome::Legal
-                     : a.routing.abandoned ? PassOutcome::Abandoned
-                                           : PassOutcome::Illegal;
+      pass.queue_pushes = a.routing.queue_pushes;
+      pass.outcome = a.routing.legal        ? PassOutcome::Legal
+                     : a.routing.abandoned  ? PassOutcome::Abandoned
+                     : a.routing.unroutable ? PassOutcome::Unroutable
+                                            : PassOutcome::Illegal;
       a.stats.passes.push_back(pass);
       if (a.routing.legal) break;
       TQEC_LOG_INFO("attempt " << k << ": routing illegal at y-gap " << y_gap
                                << (a.routing.abandoned
                                        ? " (abandoned at its first plateau)"
+                                   : a.routing.unroutable
+                                       ? " (a net is cut off)"
                                        : "")
                                << "; escalating whitespace");
     }
@@ -701,7 +709,8 @@ std::string stats_json(const CompileResult& result) {
          << ", \"iterations\": " << pass.iterations
          << ", \"overused_per_iter\": ";
       emit_number_array(os, pass.overused_per_iter);
-      os << ", \"queue_pops\": " << pass.queue_pops << ", \"outcome\": \""
+      os << ", \"queue_pops\": " << pass.queue_pops
+         << ", \"queue_pushes\": " << pass.queue_pushes << ", \"outcome\": \""
          << pass_outcome_name(pass.outcome) << "\"}";
     }
     os << "]}";

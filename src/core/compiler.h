@@ -80,10 +80,10 @@ struct CompileOptions {
   /// "emit_geometry", "done") — the same boundaries the trace spans mark.
   /// Must not throw; may call cancel.cancel() (a deadline watchdog does).
   std::function<void(const char* stage)> progress;
-  /// Let every whitespace-escalation level but the last give up at its
-  /// first congestion plateau (route::RouteOptions::abandon_at_plateau)
-  /// instead of negotiating and repairing to the end before escalating.
-  /// The final level always runs to completion, and compile() overrides
+  /// Let the y_gap = 0 whitespace-escalation level give up at its first
+  /// congestion plateau (route::RouteOptions::abandon_at_plateau) instead
+  /// of negotiating and repairing to the end before escalating. The later
+  /// levels always run to completion, and compile() overrides
   /// route.abandon_at_plateau per level from this field.
   bool abandon_plateaued_levels = true;
   place::PlaceOptions place;
@@ -94,7 +94,8 @@ struct CompileOptions {
 enum class PassOutcome : std::uint8_t {
   Legal,
   Illegal,
-  Abandoned,  // gave up at its first congestion plateau
+  Abandoned,   // gave up at its first congestion plateau
+  Unroutable,  // a pin was cut off from its net (route::RoutingResult)
 };
 
 const char* pass_outcome_name(PassOutcome outcome);
@@ -108,6 +109,7 @@ struct PassStats {
   int iterations = 0;
   std::vector<int> overused_per_iter;
   std::int64_t queue_pops = 0;
+  std::int64_t queue_pushes = 0;
   PassOutcome outcome = PassOutcome::Illegal;
 };
 

@@ -69,7 +69,7 @@ std::string options_fingerprint(const CompileOptions& o,
                                 const ShardOptions& shard) {
   std::ostringstream os;
   os << std::setprecision(17);
-  os << "shardfp/v1"
+  os << "shardfp/v2"
      << "|mode=" << static_cast<int>(o.mode) << "|seed=" << o.seed
      << "|effort=" << o.effort << "|plan=" << o.plan_flips
      << "|ish=" << o.enable_ishape << "|pri=" << o.enable_primal

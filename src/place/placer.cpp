@@ -14,6 +14,48 @@ namespace tqec::place {
 
 namespace {
 
+/// One net's pins on one placement node: the node and the bounding box of
+/// those pins' unrotated offsets inside it.
+struct NetTerm {
+  int node = 0;
+  Box3 offsets;
+};
+
+/// Read-only net incidence shared by every replica, built once per
+/// place_modules: node -> incident nets (for incremental wirelength
+/// updates) and net -> node terms (for HPWL). A net's ~10 pins sit on
+/// only ~2.5 nodes, so folding one shifted offset box per node instead of
+/// one cell per pin cuts the inner loop of every wirelength evaluation.
+struct NetIndex {
+  std::vector<std::vector<int>> nets_of_node;
+  /// Terms of net n: terms[first_term[n] .. first_term[n + 1]).
+  std::vector<std::size_t> first_term;
+  std::vector<NetTerm> terms;
+
+  explicit NetIndex(const NodeSet& nodes) : nets_of_node(nodes.nodes.size()) {
+    first_term.reserve(nodes.net_pins.size() + 1);
+    for (std::size_t net = 0; net < nodes.net_pins.size(); ++net) {
+      const std::size_t begin = terms.size();
+      first_term.push_back(begin);
+      for (pdgraph::ModuleId m : nodes.net_pins[net]) {
+        const int node = nodes.node_of_module[static_cast<std::size_t>(m)];
+        const Vec3 off = nodes.module_offset[static_cast<std::size_t>(m)];
+        const auto it = std::find_if(
+            terms.begin() + static_cast<std::ptrdiff_t>(begin), terms.end(),
+            [node](const NetTerm& t) { return t.node == node; });
+        if (it != terms.end()) {
+          it->offsets = it->offsets.expanded(off);
+          continue;
+        }
+        terms.push_back({node, Box3{off, off}});
+        nets_of_node[static_cast<std::size_t>(node)].push_back(
+            static_cast<int>(net));
+      }
+    }
+    first_term.push_back(terms.size());
+  }
+};
+
 /// One annealing chain (replica): the complete mutable SA state plus its
 /// own RNG stream and ladder temperature. Chains never touch each other's
 /// state while running, so replicas can anneal concurrently; every
@@ -27,11 +69,10 @@ class Chain {
     int height = 0;
   };
 
-  Chain(const NodeSet& nodes, const PlaceOptions& opt,
-        const std::vector<std::vector<int>>& nets_of_node)
+  Chain(const NodeSet& nodes, const PlaceOptions& opt, const NetIndex& index)
       : nodes_(nodes),
         opt_(opt),
-        nets_of_node_(nets_of_node),
+        index_(index),
         node_count_(nodes.node_count()) {}
 
   void init(int layer_count) {
@@ -68,6 +109,13 @@ class Chain {
       full_wire_recompute();
       TQEC_ASSERT(total_wire_ == tracked,
                   "incremental wirelength diverged from full recompute");
+      for (std::size_t net = 0; net < nodes_.net_pins.size(); ++net) {
+        Box3 pins;
+        for (pdgraph::ModuleId m : nodes_.net_pins[net])
+          pins = pins.expanded(module_cell(m));
+        TQEC_ASSERT(term_bbox(net) == pins,
+                    "node-term bbox differs from the per-pin bbox");
+      }
     }
 #endif
     sa_curve_.push_back(
@@ -236,6 +284,30 @@ class Chain {
            off;
   }
 
+  /// A net's pin bounding box as the union of its node terms, each term's
+  /// offset box transposed in x/z when its node is rotated and shifted by
+  /// the node origin — exactly the box the per-pin module_cell loop would
+  /// grow (DESIGN.md §6).
+  Box3 term_bbox(std::size_t net) const {
+    Box3 bbox;
+    for (std::size_t t = index_.first_term[net];
+         t < index_.first_term[net + 1]; ++t) {
+      const NetTerm& term = index_.terms[t];
+      const std::size_t n = static_cast<std::size_t>(term.node);
+      const Vec3 origin{
+          plane_x_[n],
+          layer_base_[static_cast<std::size_t>(layer_of_node_[n])],
+          plane_z_[n]};
+      const Box3& off = term.offsets;
+      bbox = bbox.merged(
+          rotated_[n]
+              ? Box3{origin + Vec3{off.lo.z, off.lo.y, off.lo.x},
+                     origin + Vec3{off.hi.z, off.hi.y, off.hi.x}}
+              : Box3{origin + off.lo, origin + off.hi});
+    }
+    return bbox;
+  }
+
   /// All wirelength models are integer-valued (HPWL and rectilinear MST
   /// over integer cells), so the running totals are exact — the basis for
   /// dropping the per-batch resync.
@@ -248,9 +320,7 @@ class Chain {
       for (pdgraph::ModuleId m : pins) cells.push_back(module_cell(m));
       return geom::rectilinear_mst_length(cells);
     }
-    Box3 bbox;
-    for (pdgraph::ModuleId m : pins) bbox = bbox.expanded(module_cell(m));
-    const Vec3 d = bbox.dims();
+    const Vec3 d = term_bbox(net).dims();
     return (d.x - 1) + (d.y - 1) + (d.z - 1);
   }
 
@@ -286,7 +356,7 @@ class Chain {
     } else {
       ++stamp_;
       for (int node : changed_nodes_) {
-        for (int net : nets_of_node_[static_cast<std::size_t>(node)]) {
+        for (int net : index_.nets_of_node[static_cast<std::size_t>(node)]) {
           if (net_stamp_[static_cast<std::size_t>(net)] == stamp_) continue;
           net_stamp_[static_cast<std::size_t>(net)] = stamp_;
           total_wire_ -= wl_of_net_[static_cast<std::size_t>(net)];
@@ -499,7 +569,7 @@ class Chain {
 
   const NodeSet& nodes_;
   const PlaceOptions& opt_;
-  const std::vector<std::vector<int>>& nets_of_node_;
+  const NetIndex& index_;
   int node_count_ = 0;
 
   std::vector<BStarTree> layers_;
@@ -548,17 +618,7 @@ Placement place_modules(const NodeSet& nodes, const PlaceOptions& options) {
     layer_count = std::min(layer_count, 48);
   }
 
-  // Node -> incident nets (for incremental wirelength updates), shared
-  // read-only by every replica.
-  std::vector<std::vector<int>> nets_of_node(nodes.nodes.size());
-  for (std::size_t net = 0; net < nodes.net_pins.size(); ++net) {
-    for (pdgraph::ModuleId m : nodes.net_pins[net]) {
-      auto& list = nets_of_node[static_cast<std::size_t>(
-          nodes.node_of_module[static_cast<std::size_t>(m)])];
-      if (list.empty() || list.back() != static_cast<int>(net))
-        list.push_back(static_cast<int>(net));
-    }
-  }
+  const NetIndex index(nodes);
 
   // Equal annealing budget per chain regardless of node count: the
   // super-module reduction then shows up as more exploration per node —
@@ -578,7 +638,7 @@ Placement place_modules(const NodeSet& nodes, const PlaceOptions& options) {
   // single-chain annealer), hotter chains get salted derived streams.
   std::vector<Chain> chains;
   chains.reserve(static_cast<std::size_t>(replica_count));
-  chains.emplace_back(nodes, options, nets_of_node);
+  chains.emplace_back(nodes, options, index);
   chains[0].init(layer_count);
   for (int r = 1; r < replica_count; ++r) chains.push_back(chains[0]);
 

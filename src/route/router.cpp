@@ -105,14 +105,22 @@ class Router {
     return ctx;
   }
 
-  bool route_component(int component, RoutedNet& out, double present_factor) {
+  bool route_component(int component, RoutedNet& out) {
     const NetContext ctx = context_of(component, out);
     SearchStats stats;
-    const bool ok =
-        route_one_net(fabric_, scratch_[0], nodes_, placement_, opt_,
-                      component, present_factor, ctx, out, stats);
+    const bool ok = route_one_net(fabric_, scratch_[0], nodes_, placement_,
+                                  opt_, component, ctx, out, stats);
     net_stats_[static_cast<std::size_t>(component)] += stats;
     return ok;
+  }
+
+  /// A component's search failed even over the whole fabric: obstacles
+  /// and module cells cut a pin off, which no negotiation can change. The
+  /// component stays unrouted (it was ripped up, so its stale cells go
+  /// too) and the pass ends unroutable after this iteration.
+  void mark_unroutable(RoutingResult& result, int component) {
+    result.nets[static_cast<std::size_t>(component)].cells.clear();
+    result.unroutable = true;
   }
 
   void import_memory(RoutingResult& result, int components);
@@ -182,7 +190,7 @@ void Router::import_memory(RoutingResult& result, int components) {
   for (std::size_t i = 0; i < fabric_.cell_count(); ++i) {
     const Vec3 p = fabric_.cell_at(i);
     if (!old_box.contains(p)) continue;
-    fabric_.history(i) = 0.5f * warm_->history[old_index(p)];
+    fabric_.set_history(i, 0.5f * warm_->history[old_index(p)]);
   }
 
   if (opt_.windows) {
@@ -301,6 +309,7 @@ RoutingResult Router::run() {
   std::vector<Box3> regions = base_regions;
 
   double present_factor = opt_.present_base;
+  fabric_.set_present_factor(present_factor);
   int stall = 0;
   int prev_overused = -1;
   int stall_sweeps_left = opt_.stall_sweeps;
@@ -350,8 +359,8 @@ RoutingResult Router::run() {
               batch[i], result.nets[static_cast<std::size_t>(batch[i])]);
           candidate_ok[i] =
               route_one_net(fabric_, scratch_[slot], nodes_, placement_,
-                            opt_, batch[i], present_factor, ctx,
-                            candidates[i], candidate_stats[i])
+                            opt_, batch[i], ctx, candidates[i],
+                            candidate_stats[i])
                   ? 1
                   : 0;
         };
@@ -367,8 +376,10 @@ RoutingResult Router::run() {
         for (std::size_t i = 0; i < batch.size(); ++i) {
           const int c = batch[i];
           net_stats_[static_cast<std::size_t>(c)] += candidate_stats[i];
-          TQEC_REQUIRE(candidate_ok[i] != 0,
-                       "router failed to connect a net component");
+          if (candidate_ok[i] == 0) {
+            mark_unroutable(result, c);
+            continue;
+          }
           // Collision: a search that escaped its declared region may have
           // priced a cell an earlier commit of this batch just filled to
           // capacity. Installing would create snapshot-artifact overuse,
@@ -401,10 +412,12 @@ RoutingResult Router::run() {
     // order — each is its own singleton batch, so no further conflicts.
     for (const int c : requeued) {
       RoutedNet& net = result.nets[static_cast<std::size_t>(c)];
-      const bool ok = route_component(c, net, present_factor);
-      TQEC_REQUIRE(ok, "router failed to connect a net component");
-      install(net);
       ++result.batches;
+      if (!route_component(c, net)) {
+        mark_unroutable(result, c);
+        continue;
+      }
+      install(net);
     }
 
     const int reroutes = static_cast<int>(pending.size());
@@ -413,20 +426,20 @@ RoutingResult Router::run() {
     if (reroutes == components) ++result.full_sweeps;
 
     // Congestion accounting; overused cells seed the next iteration's
-    // reroute set through the occupancy index.
+    // reroute set through the occupancy index, and the same pass reprices
+    // every cell at the next iteration's present factor.
     std::fill(dirty.begin(), dirty.end(), 0);
-    int overused = 0;
-    for (std::size_t i = 0; i < fabric_.cell_count(); ++i) {
-      const int over = fabric_.usage(i) - fabric_.capacity(i);
-      if (over > 0) {
-        ++overused;
-        fabric_.history(i) += static_cast<float>(opt_.history_increment);
-        for (const int c : fabric_.nets_at(i))
-          dirty[static_cast<std::size_t>(c)] = 1;
-      }
-    }
+    const double next_present =
+        std::min(present_factor * opt_.present_growth, opt_.present_max);
+    const int overused = fabric_.census(
+        static_cast<float>(opt_.history_increment), next_present,
+        [&](std::size_t i) {
+          for (const int c : fabric_.nets_at(i))
+            dirty[static_cast<std::size_t>(c)] = 1;
+        });
     result.overused_cells = overused;
     result.overused_per_iter.push_back(overused);
+    if (result.unroutable) break;
     if (overused == 0) {
       result.legal = true;
       break;
@@ -438,8 +451,7 @@ RoutingResult Router::run() {
       result.abandoned = true;
       break;
     }
-    present_factor =
-        std::min(present_factor * opt_.present_growth, opt_.present_max);
+    present_factor = next_present;
     // Negotiation stalled on persistently contested cells: stop and
     // resolve them explicitly below.
     stall = overused >= prev_overused && prev_overused >= 0 ? stall + 1 : 0;
@@ -472,7 +484,8 @@ RoutingResult Router::run() {
   // and reroute the losers with the cell removed from the fabric. The free
   // margin always offers a detour unless the cell was a pin-access cut,
   // in which case the result stays honestly illegal.
-  for (int scan = 0; !result.legal && !result.abandoned && scan < 20;
+  for (int scan = 0;
+       !result.legal && !result.abandoned && !result.unroutable && scan < 20;
        ++scan) {
     // Collect every currently overused cell in one fabric pass.
     std::vector<std::size_t> contested;
@@ -521,7 +534,7 @@ RoutingResult Router::run() {
           if (u == winner) continue;
           RoutedNet& net = result.nets[static_cast<std::size_t>(users[u])];
           rip_up(net);
-          const bool ok = route_component(users[u], net, present_factor);
+          const bool ok = route_component(users[u], net);
           install(net);
           rerouted.push_back(u);
           if (!ok) {
@@ -651,6 +664,7 @@ RoutingResult Router::run() {
   TQEC_LOG_INFO("routing: " << components << " components, legal="
                             << result.legal
                             << (result.abandoned ? " (abandoned)" : "")
+                            << (result.unroutable ? " (unroutable)" : "")
                             << " iters=" << result.iterations
                             << " wire=" << result.total_wire
                             << " reroutes=" << result.reroutes_total

@@ -119,7 +119,7 @@ struct RouteOptions {
   /// skip the remaining iterations and the hard-block repair and return
   /// legal=false with `abandoned` set. Off by default, so a plain
   /// route_nets call always runs to completion; core::compile switches it
-  /// on for its non-final whitespace-escalation levels only
+  /// on for its y_gap = 0 whitespace-escalation level only
   /// (CompileOptions::abandon_plateaued_levels).
   bool abandon_at_plateau = false;
 };
@@ -168,6 +168,10 @@ struct RoutingResult {
   /// (RouteOptions::abandon_at_plateau); legal is false and no hard-block
   /// repair ran.
   bool abandoned = false;
+  /// Some component could not be connected even by a search over the
+  /// whole fabric (obstacles and module cells cut a pin off); legal is
+  /// false, the component has no cells, and no hard-block repair ran.
+  bool unroutable = false;
   int iterations = 0;
   int overused_cells = 0;
   std::int64_t total_wire = 0;  // summed route cells

@@ -14,6 +14,7 @@ Fabric::Fabric(const place::NodeSet& nodes, const place::Placement& placement,
   usage_.assign(n, 0);
   capacity_.assign(n, 1);
   history_.assign(n, 0.0f);
+  step_cost_.assign(n, 0.0f);
   nets_at_.assign(n, {});
 
   for (const geom::DistillBox& b : placement.boxes) {
@@ -64,7 +65,16 @@ Fabric::Fabric(const place::NodeSet& nodes, const place::Placement& placement,
         mask = static_cast<std::uint8_t>(mask | (1u << d));
     }
     edge_mask_[i] = mask;
+    reprice(i);
   }
+}
+
+void Fabric::set_present_factor(double present) {
+  // Every other input reprices its own cell when it changes, so the array
+  // is current unless the factor itself moves.
+  if (present == present_factor_) return;
+  present_factor_ = present;
+  for (std::size_t i = 0; i < step_cost_.size(); ++i) reprice(i);
 }
 
 void Fabric::refresh_edges_into(std::size_t i) {
@@ -225,6 +235,16 @@ float heuristic(Vec3 p, const Box3& tree_box) {
                             axis(p.z, tree_box.lo.z, tree_box.hi.z));
 }
 
+/// The directions (edge-mask bits, kNeighbours order) whose neighbour of
+/// `p` stays inside `region`. Exact for every cell a search pops: the
+/// source lies in its region and only in-region neighbours are pushed, so
+/// a step leaves the region only through the face it moves across.
+unsigned region_dirs(Vec3 p, const Box3& region) {
+  return (p.x < region.hi.x ? 1u : 0u) | (p.x > region.lo.x ? 2u : 0u) |
+         (p.y < region.hi.y ? 4u : 0u) | (p.y > region.lo.y ? 8u : 0u) |
+         (p.z < region.hi.z ? 16u : 0u) | (p.z > region.lo.z ? 32u : 0u);
+}
+
 /// Lookahead view for the net being routed: the component's seed closure
 /// (see LookaheadMap). Consulted once per connect, for the source cell —
 /// a source outside the closure provably cannot reach the tree, a source
@@ -263,8 +283,7 @@ struct HeapOpenList {
 template <typename OpenList>
 bool connect(const Fabric& fabric, SearchScratch& scratch, OpenList open,
              Vec3 source, const Box3& region, Box3& tree_box,
-             double present_factor, const TreeLookahead& tl,
-             SearchStats& stats) {
+             const TreeLookahead& tl, SearchStats& stats) {
   const std::size_t source_idx = fabric.index(source);
   if (scratch.on_tree(source_idx)) return true;
 
@@ -289,26 +308,23 @@ bool connect(const Fabric& fabric, SearchScratch& scratch, OpenList open,
   while (!open.empty()) {
     const auto top = open.pop();
     ++stats.queue_pops;
-    if (top.g > scratch.g[top.cell]) continue;  // stale entry
+    if (top.g > scratch.g[top.cell].g) continue;  // stale entry
     if (scratch.on_tree(top.cell)) {
       goal = top.cell;
       break;
     }
     const std::size_t ci = top.cell;
     const Vec3 p = fabric.cell_at(ci);
-    const std::uint8_t mask =
-        static_cast<std::uint8_t>(fabric.edge_mask(ci) | scratch.extra(ci));
+    const unsigned mask =
+        (fabric.edge_mask(ci) | scratch.extra(ci)) & region_dirs(p, region);
     for (int dir = 0; dir < 6; ++dir) {
       if (!(mask & (1u << dir))) continue;
       const Vec3 q = p + kNeighbours[static_cast<std::size_t>(dir)];
-      if (!region.contains(q)) continue;
       const std::size_t qi = static_cast<std::size_t>(
           static_cast<std::ptrdiff_t>(ci) + fabric.stride(dir));
-      double cost = 1.0 + fabric.history(qi);
-      const int over = fabric.usage(qi) - (fabric.capacity(qi) - 1);
-      if (over > 0) cost += present_factor * over;
-      const float ng = top.g + static_cast<float>(cost);
-      if (scratch.seen(qi) && ng >= scratch.g[qi]) continue;
+      const float ng = top.g + fabric.step_cost(qi);
+      const SearchScratch::GSlot& slot = scratch.g[qi];
+      if (slot.epoch == scratch.search_epoch && ng >= slot.g) continue;
       scratch.set_g(qi, ng, dir);
       open.push(ng + heuristic(q, tree_box), ng,
                 static_cast<std::uint32_t>(qi));
@@ -364,8 +380,8 @@ bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
                    const place::NodeSet& nodes,
                    const place::Placement& placement,
                    const RouteOptions& options, int component,
-                   double present_factor, const NetContext& ctx,
-                   RoutedNet& out, SearchStats& stats) {
+                   const NetContext& ctx, RoutedNet& out,
+                   SearchStats& stats) {
   const auto& pins = nodes.net_pins[static_cast<std::size_t>(component)];
   out.component = component;
   out.cells.clear();
@@ -437,11 +453,11 @@ bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
     if (options.bucket_queue) {
       scratch.bucket_queue.reset();
       return connect(fabric, scratch, BucketOpenList{scratch.bucket_queue},
-                     target, region, tree_box, present_factor, tl, stats);
+                     target, region, tree_box, tl, stats);
     }
     scratch.heap_queue.reset();
     return connect(fabric, scratch, HeapOpenList{scratch.heap_queue}, target,
-                   region, tree_box, present_factor, tl, stats);
+                   region, tree_box, tl, stats);
   };
   auto connect_with_retries = [&](Vec3 target) {
     if (scratch.on_tree(fabric.index(target))) return true;

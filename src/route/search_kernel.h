@@ -41,11 +41,12 @@ namespace detail {
 
 /// Advance a stamp epoch. Epochs turn per-search clears into O(1) (a cell
 /// is "set" iff its stamp equals the current epoch); on the
-/// (astronomically rare) wrap the backing array is cleared so stale stamps
-/// can never alias a fresh epoch.
-inline void bump_epoch(int& epoch, std::vector<int>& stamps) {
+/// (astronomically rare) wrap the backing array is value-initialized (stamp
+/// 0) so stale stamps can never alias a fresh epoch.
+template <typename Stamp>
+void bump_epoch(int& epoch, std::vector<Stamp>& stamps) {
   if (epoch == std::numeric_limits<int>::max()) {
-    std::fill(stamps.begin(), stamps.end(), 0);
+    std::fill(stamps.begin(), stamps.end(), Stamp{});
     epoch = 0;
   }
   ++epoch;
@@ -55,10 +56,17 @@ inline void bump_epoch(int& epoch, std::vector<int>& stamps) {
 
 /// Shared routing fabric: the lattice-cell grid spanning the placement
 /// core plus a margin, with per-cell obstacle, capacity, usage, history,
-/// and occupancy-index state laid out as parallel SoA arrays (the search
-/// hot loop touches blocked/module/usage/capacity/history; keeping each in
-/// its own dense array maximizes cache-line utility for the 6-neighbour
-/// scans). Per-search state deliberately lives elsewhere (SearchScratch).
+/// and occupancy-index state laid out as parallel SoA arrays. Per-search
+/// state deliberately lives elsewhere (SearchScratch).
+///
+/// The search hot loop reads two per-cell arrays: the edge mask and the
+/// step cost. step_cost(i) is the PathFinder price of entering cell i,
+///     float(1.0 + history + present * max(0, usage - (capacity - 1)))
+/// summed in double and rounded to float once, so the cached value equals
+/// an evaluation from history/usage/capacity at the point of use bit for
+/// bit (DESIGN.md §6). Every mutation of its inputs (occupy, vacate,
+/// add_capacity, set_history, the census, set_present_factor) reprices the
+/// affected cells.
 ///
 /// The per-cell edge mask folds the 6-direction bounds/blocked/module
 /// checks into one precomputed byte: bit d of edge_mask(i) is set iff the
@@ -115,9 +123,45 @@ class Fabric {
   int capacity(std::size_t i) const { return capacity_[i]; }
   void add_capacity(std::size_t i, int d) {
     capacity_[i] = detail::counter_add(capacity_[i], d);
+    reprice(i);
   }
-  float& history(std::size_t i) { return history_[i]; }
   float history(std::size_t i) const { return history_[i]; }
+  void set_history(std::size_t i, float h) {
+    history_[i] = h;
+    reprice(i);
+  }
+
+  float step_cost(std::size_t i) const { return step_cost_[i]; }
+  double present_factor() const { return present_factor_; }
+  /// Install a present-congestion factor; every cell is repriced when it
+  /// differs from the current one.
+  void set_present_factor(double present);
+
+  /// End-of-iteration congestion census, one pass over the fabric: every
+  /// overused cell (usage > capacity) gets `history_increment` added to
+  /// its history and is reported to `on_overused(i)`, and every cell is
+  /// repriced at `next_present`, the next iteration's factor. Returns the
+  /// overused-cell count. Checked builds first verify each cell's cached
+  /// step cost against the expression at the outgoing factor.
+  template <typename OnOverused>
+  int census(float history_increment, double next_present,
+             OnOverused&& on_overused) {
+    int overused = 0;
+    for (std::size_t i = 0; i < step_cost_.size(); ++i) {
+#ifndef NDEBUG
+      TQEC_ASSERT(step_cost_[i] == price(i, present_factor_),
+                  "cached step cost diverged from its inputs");
+#endif
+      if (usage_[i] > capacity_[i]) {
+        ++overused;
+        history_[i] += history_increment;
+        on_overused(i);
+      }
+      step_cost_[i] = price(i, next_present);
+    }
+    present_factor_ = next_present;
+    return overused;
+  }
 
   // Cell -> net occupancy index, kept in lockstep with the usage counters:
   // every cell lists the components currently routed through it. Powers
@@ -126,10 +170,12 @@ class Fabric {
   // every net's route. Mutation is negotiation-thread-only.
   void occupy(std::size_t i, int component) {
     usage_[i] = detail::counter_add(usage_[i], +1);
+    reprice(i);
     nets_at_[i].push_back(component);
   }
   void vacate(std::size_t i, int component) {
     usage_[i] = detail::counter_add(usage_[i], -1);
+    reprice(i);
     auto& nets = nets_at_[i];
     const auto it = std::find(nets.begin(), nets.end(), component);
     TQEC_ASSERT(it != nets.end(), "occupancy index missing a routed net");
@@ -141,6 +187,14 @@ class Fabric {
   /// Recompute the mask bits that point INTO cell i (one bit in each
   /// inside neighbour) after its blocked state changed.
   void refresh_edges_into(std::size_t i);
+  /// The step-cost expression: a double sum rounded to float once.
+  float price(std::size_t i, double present) const {
+    double cost = 1.0 + history_[i];
+    const int over = usage_[i] - (capacity_[i] - 1);
+    if (over > 0) cost += present * over;
+    return static_cast<float>(cost);
+  }
+  void reprice(std::size_t i) { step_cost_[i] = price(i, present_factor_); }
 
   Box3 box_;
   Vec3 dims_;
@@ -149,6 +203,8 @@ class Fabric {
   std::vector<std::uint16_t> usage_;
   std::vector<std::uint16_t> capacity_;
   std::vector<float> history_;
+  std::vector<float> step_cost_;
+  double present_factor_ = RouteOptions{}.present_base;
   std::vector<std::vector<int>> nets_at_;
   std::vector<std::uint8_t> edge_mask_;
   std::array<std::ptrdiff_t, 6> strides_{};
@@ -357,10 +413,16 @@ struct SearchStats {
 /// search that worker runs; epoch stamps make per-search clears O(1) and
 /// the retained capacity makes them allocation-free.
 struct SearchScratch {
+  /// A cell's best-known cost to reach it and the search epoch that set
+  /// it, side by side so the relaxation test touches one 8-byte slot.
+  struct GSlot {
+    float g = 0.0f;
+    int epoch = 0;
+  };
+
   BucketQueue bucket_queue;
   HeapQueue heap_queue;
-  std::vector<float> g;
-  std::vector<int> g_version;
+  std::vector<GSlot> g;
   std::vector<std::int8_t> parent;
   std::vector<int> tree_version;
   /// Per-net edge-mask overlay: extra passable-direction bits (own-pin
@@ -376,8 +438,7 @@ struct SearchScratch {
   /// Size the arrays for a fabric of `cells` cells (idempotent).
   void ensure(std::size_t cells) {
     if (g.size() == cells) return;
-    g.assign(cells, 0.0f);
-    g_version.assign(cells, 0);
+    g.assign(cells, GSlot{});
     parent.assign(cells, -1);
     tree_version.assign(cells, 0);
     extra_mask.assign(cells, 0);
@@ -385,11 +446,9 @@ struct SearchScratch {
     search_epoch = tree_epoch = extra_epoch = 0;
   }
 
-  void begin_search() { detail::bump_epoch(search_epoch, g_version); }
-  bool seen(std::size_t i) const { return g_version[i] == search_epoch; }
+  void begin_search() { detail::bump_epoch(search_epoch, g); }
   void set_g(std::size_t i, float v, int parent_dir) {
-    g[i] = v;
-    g_version[i] = search_epoch;
+    g[i] = {v, search_epoch};
     parent[i] = static_cast<std::int8_t>(parent_dir);
   }
 
@@ -423,16 +482,17 @@ struct NetContext {
 /// Route one merged net component as a Steiner tree over the fabric
 /// snapshot: pins join the partially built tree one at a time by A* within
 /// a restricted region — the warm window from `ctx` first (when set), then
-/// the classic failure-inflated margin ladder. Pure function of
-/// (fabric, nodes, placement, options, component, present_factor, ctx) —
-/// the fabric is only read. Returns false when some pin could not be
+/// the classic failure-inflated margin ladder, pricing each step at the
+/// fabric's step_cost. Pure function of
+/// (fabric, nodes, placement, options, component, ctx) — the fabric is
+/// only read. Returns false when some pin could not be
 /// connected even by an unrestricted search; `out.cells` then holds the
 /// partial tree. Queue traffic is accumulated into `stats`.
 bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
                    const place::NodeSet& nodes,
                    const place::Placement& placement,
                    const RouteOptions& options, int component,
-                   double present_factor, const NetContext& ctx,
-                   RoutedNet& out, SearchStats& stats);
+                   const NetContext& ctx, RoutedNet& out,
+                   SearchStats& stats);
 
 }  // namespace tqec::route

@@ -10,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/trace.h"
 #include "core/paper_tables.h"
 #include "core/service.h"
 #include "core/stage_cache.h"
 #include "geom/geometry.h"
 #include "icm/serialize.h"
+#include "qcir/generator.h"
+#include "qcir/revlib.h"
 
 namespace tqec {
 namespace {
@@ -350,6 +353,38 @@ TEST(CompilerServiceTest, TelemetryOnOffIsBitIdentical) {
   EXPECT_EQ(on.result.modules, off.result.modules);
   EXPECT_EQ(on.result.nodes, off.result.nodes);
   EXPECT_EQ(on.result.routed_legal, off.result.routed_legal);
+}
+
+// A pin cut off from its net ends the pass "unroutable" and escalates
+// instead of aborting the compile. Circuit r194 of the random .real pool
+// (generator seed 22, 10 qubits, 24 gates — the tqec_serve benchmark
+// generator) walls a pin in at y_gap = 0; the wider y_gap = 1 packing
+// routes it legally.
+TEST(CompilerServiceTest, UnroutablePassEscalatesInsteadOfFailing) {
+  std::uint64_t state = 22;
+  qcir::RandomReversibleSpec spec;
+  spec.num_qubits = 10;
+  spec.num_gates = 24;
+  for (int i = 0; i <= 194; ++i) spec.seed = splitmix64(state);
+  CompilerConfig config;
+  config.cache_enabled = false;
+  Compiler compiler(config);
+  CompileRequest request;
+  request.id = "r194";
+  request.real_text = qcir::write_real(qcir::make_random_reversible(spec));
+  const CompileResponse response = compiler.compile(request);
+  ASSERT_TRUE(response.ok) << response.error.message;
+  EXPECT_TRUE(response.result.routed_legal);
+  EXPECT_EQ(response.result.volume, 102934);
+  const auto& passes = response.result.timings.attempts.at(0).passes;
+  ASSERT_EQ(passes.size(), 2u);
+  EXPECT_EQ(passes[0].y_gap, 0);
+  EXPECT_EQ(passes[0].outcome, core::PassOutcome::Unroutable);
+  EXPECT_EQ(passes[1].y_gap, 1);
+  EXPECT_EQ(passes[1].outcome, core::PassOutcome::Legal);
+  EXPECT_NE(core::stats_json(response.result).find(
+                "\"outcome\": \"unroutable\""),
+            std::string::npos);
 }
 
 }  // namespace

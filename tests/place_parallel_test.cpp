@@ -14,11 +14,13 @@
 // annealing replicas fails CI even when it does not corrupt the result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "compress/dual_bridging.h"
 #include "compress/flipping.h"
 #include "compress/ishape.h"
@@ -298,6 +300,21 @@ TEST(PlaceParallelTest, TemperingScheduleCountersConsistent) {
   EXPECT_EQ(p.iterations_run % 4, 0);
 }
 
+/// Integer HPWL of every net, grown pin by pin from the final module
+/// cells — independent of the annealer's per-node term bookkeeping.
+double per_pin_hpwl(const NodeSet& nodes, const Placement& placement) {
+  std::int64_t wire = 0;
+  for (const auto& pins : nodes.net_pins) {
+    if (pins.size() < 2) continue;
+    Box3 bbox;
+    for (pdgraph::ModuleId m : pins)
+      bbox = bbox.expanded(placement.module_cell[static_cast<std::size_t>(m)]);
+    const Vec3 d = bbox.dims();
+    wire += (d.x - 1) + (d.y - 1) + (d.z - 1);
+  }
+  return static_cast<double>(wire);
+}
+
 // Satellite regression for the demoted per-batch resync: the tracked
 // wirelength is exact integer arithmetic, so the reported value must equal
 // an external integer HPWL recompute to the last bit (EXPECT_EQ, not
@@ -311,19 +328,34 @@ TEST(PlaceParallelTest, WirelengthExactlyMatchesIntegerRecompute) {
     opt.seed = seed;
     opt.batch = 32;  // frequent batch boundaries exercise the debug check
     const Placement placement = place_modules(built.nodes, opt);
-    std::int64_t wire = 0;
-    for (const auto& pins : built.nodes.net_pins) {
-      if (pins.size() < 2) continue;
-      Box3 bbox;
-      for (pdgraph::ModuleId m : pins)
-        bbox =
-            bbox.expanded(placement.module_cell[static_cast<std::size_t>(m)]);
-      const Vec3 d = bbox.dims();
-      wire += (d.x - 1) + (d.y - 1) + (d.z - 1);
-    }
-    EXPECT_EQ(placement.wirelength, static_cast<double>(wire))
+    EXPECT_EQ(placement.wirelength, per_pin_hpwl(built.nodes, placement))
         << "seed " << seed;
   }
+}
+
+// The annealer folds each net's HPWL from one offset box per placement
+// node, transposed for rotated nodes and shifted by the node origin. On
+// random workloads, seeds, replica counts and batch sizes that must equal
+// the per-pin HPWL of the final layout exactly; checked builds also compare
+// the two boxes of every net at every batch boundary.
+TEST(PlaceParallelTest, NodeTermWirelengthMatchesPerPinOnRandomWorkloads) {
+  Rng rng(20261018);
+  int rotated_nodes = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const int a_states = rng.range(0, 6);
+    const BuiltNodes built =
+        workload_fixture(rng.range(12, 48), rng.range(16, 80), 2 * a_states,
+                         a_states, rng());
+    PlaceOptions opt = options_with(rng(), rng.range(1, 3), /*threads=*/2);
+    opt.iterations = 3000;
+    opt.batch = rng.range(16, 64);
+    const Placement placement = place_modules(built.nodes, opt);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    EXPECT_EQ(placement.wirelength, per_pin_hpwl(built.nodes, placement));
+    rotated_nodes += static_cast<int>(std::count(
+        placement.node_rotated.begin(), placement.node_rotated.end(), true));
+  }
+  EXPECT_GT(rotated_nodes, 0) << "no trial exercised a rotated node term";
 }
 
 }  // namespace

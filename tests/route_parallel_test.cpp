@@ -111,6 +111,7 @@ GridFixture random_fixture(std::uint64_t seed) {
 void expect_identical(const RoutingResult& a, const RoutingResult& b) {
   EXPECT_EQ(a.legal, b.legal);
   EXPECT_EQ(a.abandoned, b.abandoned);
+  EXPECT_EQ(a.unroutable, b.unroutable);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.overused_cells, b.overused_cells);
   EXPECT_EQ(a.total_wire, b.total_wire);
@@ -442,7 +443,7 @@ TEST(RouteParallelTest, LookaheadFailsDoomedConnectWithoutFlooding) {
   RoutedNet out_off;
   SearchStats stats_off;
   EXPECT_FALSE(route_one_net(fabric, scratch, f.nodes, f.placement, opt, 0,
-                             1.0, cold, out_off, stats_off));
+                             cold, out_off, stats_off));
   EXPECT_GT(stats_off.queue_pushes, 0);
 
   NetContext warm;
@@ -451,7 +452,7 @@ TEST(RouteParallelTest, LookaheadFailsDoomedConnectWithoutFlooding) {
   RoutedNet out_on;
   SearchStats stats_on;
   EXPECT_FALSE(route_one_net(fabric, scratch, f.nodes, f.placement, opt, 0,
-                             1.0, warm, out_on, stats_on));
+                             warm, out_on, stats_on));
 
   EXPECT_GT(stats_on.lookahead_connects, 0);
   // The open pin is outside the pocketed seed's closure, so the lookahead
@@ -459,6 +460,27 @@ TEST(RouteParallelTest, LookaheadFailsDoomedConnectWithoutFlooding) {
   EXPECT_LT(stats_on.queue_pushes, stats_off.queue_pushes);
   // Identical partial tree (the pocketed seed) either way.
   EXPECT_EQ(out_on.cells, out_off.cells);
+}
+
+// The full router on the same pocket: a pin no search can reach ends the
+// pass "unroutable" — the net keeps no cells and no repair runs — instead
+// of aborting, identically for any thread count. core::compile then
+// escalates as for any illegal pass.
+TEST(RouteParallelTest, CutOffPinEndsThePassUnroutable) {
+  const GridFixture f = pocket_fixture();
+  const RoutingResult one =
+      route_nets(f.nodes, f.placement, options_with(1, false, /*margin=*/0));
+  EXPECT_FALSE(one.legal);
+  EXPECT_TRUE(one.unroutable);
+  EXPECT_EQ(one.iterations, 1);
+  EXPECT_EQ(one.repair_awarded + one.repair_failed, 0);
+  ASSERT_EQ(one.nets.size(), 1u);
+  EXPECT_TRUE(one.nets[0].cells.empty());
+  for (const int threads : {2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    expect_identical(one, route_nets(f.nodes, f.placement,
+                                     options_with(threads, false, 0)));
+  }
 }
 
 // Warm-start negotiation (core::compile's restart chaining): a cold run

@@ -3,12 +3,16 @@
 // congestion negotiation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "compress/dual_bridging.h"
 #include "compress/flipping.h"
 #include "compress/ishape.h"
@@ -17,6 +21,7 @@
 #include "place/nodes.h"
 #include "place/placer.h"
 #include "route/router.h"
+#include "route/search_kernel.h"
 
 namespace tqec::route {
 namespace {
@@ -335,6 +340,69 @@ TEST(FabricCounterTest, NoWraparoundOnOverflow) {
   EXPECT_EQ(detail::counter_add(65534, 1), 65535);
   EXPECT_THROW(detail::counter_add(65535, 1), TqecError);
   EXPECT_THROW(detail::counter_add(65000, 1000), TqecError);
+}
+
+// The fabric caches every cell's step cost; it must equal the expression
+// the search once evaluated inline, bit for bit, after any interleaving of
+// the updates that feed it: occupy, vacate, capacity bonuses, history
+// writes, censuses and present-factor switches.
+TEST(FabricStepCostTest, CachedCostMatchesInlineExpressionUnderRandomUpdates) {
+  icm::WorkloadSpec spec;
+  spec.qubits = 16;
+  spec.cnots = 24;
+  spec.y_states = 4;
+  spec.a_states = 2;
+  const Flow flow = run_flow(icm::make_workload(spec));
+  Fabric fabric(flow.nodes, flow.placement, /*margin=*/2);
+  const std::size_t cells = fabric.cell_count();
+  const auto inline_cost = [&](std::size_t i) {
+    double cost = 1.0 + fabric.history(i);
+    const int over = fabric.usage(i) - (fabric.capacity(i) - 1);
+    if (over > 0) cost += fabric.present_factor() * over;
+    return static_cast<float>(cost);
+  };
+  const auto expect_all_match = [&](int step) {
+    for (std::size_t i = 0; i < cells; ++i)
+      ASSERT_EQ(fabric.step_cost(i), inline_cost(i))
+          << "cell " << i << " after step " << step;
+  };
+  expect_all_match(-1);
+
+  Rng rng(7);
+  // Occupy a small cell subset so usage piles up past capacity.
+  const std::size_t hot = std::min<std::size_t>(cells, 64);
+  std::vector<std::pair<std::size_t, int>> occupied;
+  for (int step = 0; step < 6000; ++step) {
+    const double roll = rng.uniform();
+    const std::size_t i = rng.below(hot) * (cells / hot);
+    if (roll < 0.4) {
+      const int component = rng.range(0, 9);
+      fabric.occupy(i, component);
+      occupied.push_back({i, component});
+    } else if (roll < 0.6 && !occupied.empty()) {
+      const std::size_t k = rng.below(occupied.size());
+      fabric.vacate(occupied[k].first, occupied[k].second);
+      occupied[k] = occupied.back();
+      occupied.pop_back();
+    } else if (roll < 0.7) {
+      fabric.add_capacity(i, rng.range(1, 2));
+    } else if (roll < 0.9) {
+      fabric.set_history(i, static_cast<float>(rng.uniform() * 7.3));
+    } else if (roll < 0.95) {
+      int overused = 0;
+      for (std::size_t c = 0; c < cells; ++c)
+        overused += fabric.usage(c) > fabric.capacity(c) ? 1 : 0;
+      int reported = 0;
+      EXPECT_EQ(fabric.census(0.37f, fabric.present_factor() * 1.6,
+                              [&](std::size_t) { ++reported; }),
+                overused);
+      EXPECT_EQ(reported, overused);
+    } else {
+      fabric.set_present_factor(rng.uniform() * 1e9);
+    }
+    if (step % 500 == 0) expect_all_match(step);
+  }
+  expect_all_match(6000);
 }
 
 // Regression for the distillation-box rasterization: with a small routing

@@ -213,7 +213,8 @@ def check_stats_framing(binary):
     attempts = stats_doc["stats"]["attempts"]
     assert attempts and attempts[0]["passes"], attempts
     for p in attempts[0]["passes"]:
-        assert p["outcome"] in ("legal", "illegal", "abandoned"), p
+        assert p["outcome"] in ("legal", "illegal", "abandoned",
+                                "unroutable"), p
     health = json.loads(second)
     assert health["id"] == "health" and health["admin"] == "health", health
 
