@@ -1,18 +1,13 @@
-// Google-benchmark A/B of the router's search kernel and negotiation
-// schedule (ISSUE/PR: bucket-queue search kernel + batched negotiation):
+// Google-benchmark of the router's batched PathFinder negotiation:
 //
-//   RouteKernel/{bucket,heap}        whole-routing time with the monotone
-//                                    bucket (Dial) open list vs the binary
-//                                    heap, serial schedule — isolates the
-//                                    open-list swap (satellite A/B);
-//   RouteSchedule/{serial,batched}   classic one-net-at-a-time vs the
-//                                    disjoint-region batched schedule at
-//                                    threads=1 — isolates schedule
-//                                    overhead;
 //   RouteThreads/N                   batched schedule at N worker threads
 //                                    (the CI bench-smoke sweep; wall-clock
 //                                    gains need real cores, results are
-//                                    bit-identical regardless);
+//                                    bit-identical regardless). threads:1
+//                                    publishes the deterministic work
+//                                    counters the CI timing gate checks
+//                                    exactly (bench/route_timing_baseline
+//                                    .json "counters");
 //   RouteLookahead/{off,on}          classic searches vs the seed-closure
 //                                    reachability lookahead (identical
 //                                    routes by construction — the A/B
@@ -26,8 +21,8 @@
 //
 // All variants route the same placements: mid-size SA workloads placed
 // once per scale outside the timed region, so the numbers are pure
-// routing. Counters (batches, conflicts, queue traffic) are reported for
-// the last run of each variant.
+// routing. Counters (queue traffic, reroutes, batches, conflicts) are
+// reported for the last run of each variant.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -86,24 +81,14 @@ void run_route(benchmark::State& state, const route::RouteOptions& opt) {
   state.counters["legal"] = last.legal ? 1 : 0;
   state.counters["wire"] = static_cast<double>(last.total_wire);
   state.counters["queue_pushes"] = static_cast<double>(last.queue_pushes);
+  state.counters["queue_pops"] = static_cast<double>(last.queue_pops);
+  state.counters["reroutes"] = static_cast<double>(last.reroutes_total);
+  // Not "iterations": google-benchmark's JSON already has that key.
+  state.counters["negotiation_iterations"] =
+      static_cast<double>(last.iterations);
   state.counters["batches"] = static_cast<double>(last.batches);
   state.counters["conflicts"] = static_cast<double>(last.conflicts_requeued);
   state.counters["nets_per_batch"] = last.parallel_efficiency;
-}
-
-void BM_RouteKernel(benchmark::State& state) {
-  route::RouteOptions opt;
-  opt.bucket_queue = state.range(0) != 0;
-  opt.serial_schedule = true;  // isolate the open-list swap
-  opt.threads = 1;
-  run_route(state, opt);
-}
-
-void BM_RouteSchedule(benchmark::State& state) {
-  route::RouteOptions opt;
-  opt.serial_schedule = state.range(0) == 0;
-  opt.threads = 1;
-  run_route(state, opt);
 }
 
 void BM_RouteThreads(benchmark::State& state) {
@@ -138,7 +123,8 @@ void BM_RouteWarmStart(benchmark::State& state) {
   state.counters["legal"] = last.legal ? 1 : 0;
   state.counters["wire"] = static_cast<double>(last.total_wire);
   state.counters["queue_pushes"] = static_cast<double>(last.queue_pushes);
-  state.counters["iterations"] = static_cast<double>(last.iterations);
+  state.counters["negotiation_iterations"] =
+      static_cast<double>(last.iterations);
   state.counters["window_hits"] = static_cast<double>(last.window_hits);
   state.counters["window_misses"] =
       static_cast<double>(last.window_misses);
@@ -146,16 +132,6 @@ void BM_RouteWarmStart(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_RouteKernel)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"bucket"})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RouteSchedule)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"batched"})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RouteThreads)
     ->Arg(1)
     ->Arg(2)

@@ -4,9 +4,12 @@
 // all tqec_report and the round-trip tests need.
 //
 // Numbers are stored as double (the reports never exceed 2^53) and object
-// members keep insertion order.
+// members keep insertion order. The reader also parses untrusted
+// tqec_serve requests, so as_int refuses numbers it cannot convert
+// exactly.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -57,8 +60,14 @@ class Value {
     TQEC_REQUIRE(is_number(), "json: not a number");
     return number;
   }
+  /// Throws unless the number is integral and representable as int64 (a
+  /// cast of anything else is lossy or undefined behaviour). 2^63 is a
+  /// double, so the half-open bound is exact.
   std::int64_t as_int() const {
     TQEC_REQUIRE(is_number(), "json: not a number");
+    TQEC_REQUIRE(number >= -0x1p63 && number < 0x1p63,
+                 "json: integer out of range");
+    TQEC_REQUIRE(std::trunc(number) == number, "json: not an integer");
     return static_cast<std::int64_t>(number);
   }
   const std::string& as_string() const {

@@ -69,7 +69,7 @@ std::string options_fingerprint(const CompileOptions& o,
                                 const ShardOptions& shard) {
   std::ostringstream os;
   os << std::setprecision(17);
-  os << "shardfp/v2"
+  os << "shardfp/v3"
      << "|mode=" << static_cast<int>(o.mode) << "|seed=" << o.seed
      << "|effort=" << o.effort << "|plan=" << o.plan_flips
      << "|ish=" << o.enable_ishape << "|pri=" << o.enable_primal
@@ -83,16 +83,13 @@ std::string options_fingerprint(const CompileOptions& o,
      << "|p.iters=" << p.iterations << "|p.effort=" << p.effort
      << "|p.t0=" << p.t0_fraction << "|p.cool=" << p.cooling
      << "|p.batch=" << p.batch << "|p.ygap=" << p.layer_y_gap
-     << "|p.replicas=" << p.replicas << "|p.stagger=" << p.replica_stagger
-     << "|p.fullpack=" << p.full_pack;
+     << "|p.replicas=" << p.replicas << "|p.stagger=" << p.replica_stagger;
   const route::RouteOptions& r = o.route;
   os << "|r.margin=" << r.margin << "|r.maxit=" << r.max_iterations
      << "|r.hist=" << r.history_increment << "|r.pbase=" << r.present_base
      << "|r.pgrow=" << r.present_growth << "|r.pmax=" << r.present_max
-     << "|r.incr=" << r.incremental << "|r.stall=" << r.stall_sweeps
-     << "|r.region=" << r.region_margin << "|r.serial=" << r.serial_schedule
-     << "|r.bucket=" << r.bucket_queue << "|r.look=" << r.lookahead
-     << "|r.windows=" << r.windows << "|r.warm=" << r.warm_start;
+     << "|r.incr=" << r.incremental << "|r.region=" << r.region_margin
+     << "|r.look=" << r.lookahead << "|r.warm=" << r.warm_start;
   os << "|shard.window=" << shard.window << "|shard.gap=" << shard.seam_gap;
   return os.str();
 }

@@ -41,14 +41,7 @@ struct BatchIndex {
 }  // namespace
 
 BatchPlan plan_batches(const std::vector<int>& pending,
-                       const std::vector<Box3>& region_of, bool singletons) {
-  BatchPlan plan;
-  if (singletons) {
-    plan.batches.reserve(pending.size());
-    for (const int c : pending) plan.batches.push_back({c});
-    return plan;
-  }
-
+                       const std::vector<Box3>& region_of) {
   std::vector<BatchIndex> batches;
   for (const int c : pending) {
     const Box3& region = region_of[static_cast<std::size_t>(c)];
@@ -65,6 +58,7 @@ BatchPlan plan_batches(const std::vector<int>& pending,
     }
   }
 
+  BatchPlan plan;
   plan.batches.reserve(batches.size());
   for (BatchIndex& b : batches) plan.batches.push_back(std::move(b.components));
   return plan;

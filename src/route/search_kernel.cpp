@@ -256,34 +256,15 @@ struct TreeLookahead {
   bool valid = false;
 };
 
-struct BucketOpenList {
-  BucketQueue& q;
-  void push(float f, float g, std::uint32_t cell) {
-    q.push(static_cast<std::int64_t>(f), g, cell);
-  }
-  bool empty() const { return q.empty(); }
-  BucketQueue::Entry pop() { return q.pop(); }
-};
-
-struct HeapOpenList {
-  HeapQueue& q;
-  void push(float f, float g, std::uint32_t cell) { q.push(f, g, cell); }
-  bool empty() const { return q.empty(); }
-  HeapQueue::Entry pop() { return q.pop(); }
-};
-
 /// Connect `source` to the partially built tree by A* restricted to
 /// `region` (computed by the caller: the warm window or a ladder rung).
 /// On success the backtracked path joins the tree (cells, box, tree
 /// marks). Neighbour admission is one mask read — the fabric's precomputed
-/// edge mask OR the per-net own-pin overlay — plus the region test; the
-/// open-list policy is the only templated piece: the bucket queue pops an
-/// integer-keyed lower bound (ties LIFO), the heap pops exact f order
-/// (ties in std::priority_queue's order).
-template <typename OpenList>
-bool connect(const Fabric& fabric, SearchScratch& scratch, OpenList open,
-             Vec3 source, const Box3& region, Box3& tree_box,
-             const TreeLookahead& tl, SearchStats& stats) {
+/// edge mask OR the per-net own-pin overlay — plus the region test. The
+/// open list is keyed on the integer part of f (ties LIFO).
+bool connect(const Fabric& fabric, SearchScratch& scratch, Vec3 source,
+             const Box3& region, Box3& tree_box, const TreeLookahead& tl,
+             SearchStats& stats) {
   const std::size_t source_idx = fabric.index(source);
   if (scratch.on_tree(source_idx)) return true;
 
@@ -298,15 +279,17 @@ bool connect(const Fabric& fabric, SearchScratch& scratch, OpenList open,
     if (!tl.map->reachable(*tl.reach, source_idx)) return false;
   }
 
+  BucketQueue& open = scratch.open;
+  open.reset();
   scratch.begin_search();
   scratch.set_g(source_idx, 0.0f, -1);
-  open.push(heuristic(source, tree_box), 0.0f,
+  open.push(static_cast<std::int64_t>(heuristic(source, tree_box)), 0.0f,
             static_cast<std::uint32_t>(source_idx));
   ++stats.queue_pushes;
 
   std::size_t goal = static_cast<std::size_t>(-1);
   while (!open.empty()) {
-    const auto top = open.pop();
+    const BucketQueue::Entry top = open.pop();
     ++stats.queue_pops;
     if (top.g > scratch.g[top.cell].g) continue;  // stale entry
     if (scratch.on_tree(top.cell)) {
@@ -326,7 +309,8 @@ bool connect(const Fabric& fabric, SearchScratch& scratch, OpenList open,
       const SearchScratch::GSlot& slot = scratch.g[qi];
       if (slot.epoch == scratch.search_epoch && ng >= slot.g) continue;
       scratch.set_g(qi, ng, dir);
-      open.push(ng + heuristic(q, tree_box), ng,
+      const float f = ng + heuristic(q, tree_box);
+      open.push(static_cast<std::int64_t>(f), ng,
                 static_cast<std::uint32_t>(qi));
       ++stats.queue_pushes;
     }
@@ -450,18 +434,11 @@ bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
   }
 
   auto connect_once = [&](Vec3 target, const Box3& region) {
-    if (options.bucket_queue) {
-      scratch.bucket_queue.reset();
-      return connect(fabric, scratch, BucketOpenList{scratch.bucket_queue},
-                     target, region, tree_box, tl, stats);
-    }
-    scratch.heap_queue.reset();
-    return connect(fabric, scratch, HeapOpenList{scratch.heap_queue}, target,
-                   region, tree_box, tl, stats);
+    return connect(fabric, scratch, target, region, tree_box, tl, stats);
   };
   auto connect_with_retries = [&](Vec3 target) {
     if (scratch.on_tree(fabric.index(target))) return true;
-    if (options.windows && !ctx.window.empty()) {
+    if (!ctx.window.empty()) {
       // Warm attempt: the previous successful route's bounding box (plus
       // whatever the tree already grew to) is usually where the new route
       // fits too; fall through to the classic ladder when it does not.

@@ -8,10 +8,8 @@
 //       arrays) lives in a reusable per-worker SearchScratch, so the hot
 //       loop performs zero heap allocations after warm-up;
 //   (c) the open list is a monotone bucket (Dial) queue keyed on the
-//       integer lower bound of f — O(1) push/pop against the
-//       std::priority_queue's O(log n) — with the classic binary heap kept
-//       behind RouteOptions::bucket_queue for A/B benchmarking
-//       (bench/micro_route_kernel.cpp).
+//       integer lower bound of f — O(1) push/pop against a binary heap's
+//       O(log n).
 //
 // Thread-safety contract: during a batch's search phase every worker holds
 // a distinct SearchScratch and treats the Fabric as read-only; all fabric
@@ -350,41 +348,6 @@ class BucketQueue {
   bool primed_ = false;
 };
 
-/// Classic binary-heap open list over a reused backing vector. Push/pop
-/// use std::push_heap/std::pop_heap with the same f-only comparator the
-/// original std::priority_queue had, so pop order (ties included) matches
-/// the pre-bucket-queue router exactly; only the allocation churn is gone.
-class HeapQueue {
- public:
-  struct Entry {
-    float f;
-    float g;
-    std::uint32_t cell;
-  };
-
-  void reset() { heap_.clear(); }
-
-  void push(float f, float g, std::uint32_t cell) {
-    heap_.push_back({f, g, cell});
-    std::push_heap(heap_.begin(), heap_.end(), Greater{});
-  }
-
-  bool empty() const { return heap_.empty(); }
-
-  Entry pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), Greater{});
-    const Entry e = heap_.back();
-    heap_.pop_back();
-    return e;
-  }
-
- private:
-  struct Greater {
-    bool operator()(const Entry& a, const Entry& b) const { return a.f > b.f; }
-  };
-  std::vector<Entry> heap_;
-};
-
 /// A*-queue traffic of one or more searches; summed into the routing
 /// result on the negotiation thread in deterministic net order, so the
 /// totals are identical for any worker count.
@@ -408,7 +371,7 @@ struct SearchStats {
   }
 };
 
-/// Per-worker search scratch: open queues plus the g/parent/tree/extra-
+/// Per-worker search scratch: the open queue plus the g/parent/tree/extra-
 /// mask stamp arrays. One instance per routing worker, reused across every
 /// search that worker runs; epoch stamps make per-search clears O(1) and
 /// the retained capacity makes them allocation-free.
@@ -420,8 +383,7 @@ struct SearchScratch {
     int epoch = 0;
   };
 
-  BucketQueue bucket_queue;
-  HeapQueue heap_queue;
+  BucketQueue open;
   std::vector<GSlot> g;
   std::vector<std::int8_t> parent;
   std::vector<int> tree_version;

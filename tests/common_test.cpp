@@ -269,6 +269,25 @@ TEST(JsonTest, TypedAccessorsThrowOnMismatch) {
   EXPECT_THROW(doc.at("missing"), TqecError);
 }
 
+// as_int reads untrusted request numbers: a non-integral or out-of-range
+// double must throw instead of being truncated or cast with undefined
+// behaviour.
+TEST(JsonTest, AsIntRejectsNonIntegralAndOutOfRangeNumbers) {
+  const json::Value doc = json::parse(
+      R"({"two": 2, "neg": -7, "float_two": 2.0, "half": 2.5,
+          "big": 1e300, "neg_big": -1e300, "two63": 9223372036854775808,
+          "min": -9223372036854775808, "inf": 1e999})");
+  EXPECT_EQ(doc.at("two").as_int(), 2);
+  EXPECT_EQ(doc.at("neg").as_int(), -7);
+  EXPECT_EQ(doc.at("float_two").as_int(), 2);
+  EXPECT_EQ(doc.at("min").as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW(doc.at("half").as_int(), TqecError);
+  EXPECT_THROW(doc.at("big").as_int(), TqecError);
+  EXPECT_THROW(doc.at("neg_big").as_int(), TqecError);
+  EXPECT_THROW(doc.at("two63").as_int(), TqecError);
+  EXPECT_THROW(doc.at("inf").as_int(), TqecError);
+}
+
 
 TEST(ParseNumberTest, TryFormsAcceptValidRejectMalformed) {
   EXPECT_EQ(try_parse_i64("42"), 42);

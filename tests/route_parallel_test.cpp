@@ -3,10 +3,10 @@
 // schedule statistic — must be bit-identical for any --route-threads
 // value, because batch composition, commit order, and conflict requeues
 // are pure functions of the deterministic net order, never of the worker
-// count. The suite asserts that across thread counts {1, 2, 8}, for both
-// negotiation schedules (disjoint-region batched and --route-serial), on
-// the hand-built contested cross fixture, a family of random grid
-// fixtures, and a real SA flow; plus the V3/V5 validator invariants.
+// count. The suite asserts that across thread counts {1, 2, 8}, with
+// plateau abandoning off and on, on the hand-built contested cross
+// fixture, a family of random grid fixtures, and a real SA flow; plus the
+// V3/V5 validator invariants.
 //
 // The threads=8 cases double as the TSan workload: the CI thread-sanitizer
 // job builds and runs this binary, so a data race between concurrent batch
@@ -193,11 +193,9 @@ void expect_v5(const place::Placement& placement, const RoutingResult& r) {
             << box.origin;
 }
 
-RouteOptions options_with(int threads, bool serial, int margin = 4,
-                          bool abandon = false) {
+RouteOptions options_with(int threads, int margin = 4, bool abandon = false) {
   RouteOptions opt;
   opt.threads = threads;
-  opt.serial_schedule = serial;
   opt.margin = margin;
   opt.abandon_at_plateau = abandon;
   return opt;
@@ -206,15 +204,15 @@ RouteOptions options_with(int threads, bool serial, int margin = 4,
 /// Threads {1, 2, 8}, with plateau abandoning off and on.
 void expect_thread_invariance(const place::NodeSet& nodes,
                               const place::Placement& placement,
-                              bool serial, int margin = 4) {
+                              int margin = 4) {
   for (const bool abandon : {false, true}) {
-    const RoutingResult one = route_nets(
-        nodes, placement, options_with(1, serial, margin, abandon));
+    const RoutingResult one =
+        route_nets(nodes, placement, options_with(1, margin, abandon));
     for (const int threads : {2, 8}) {
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " serial="
-                                        << serial << " abandon=" << abandon);
-      const RoutingResult many = route_nets(
-          nodes, placement, options_with(threads, serial, margin, abandon));
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                        << " abandon=" << abandon);
+      const RoutingResult many =
+          route_nets(nodes, placement, options_with(threads, margin, abandon));
       expect_identical(one, many);
     }
   }
@@ -223,18 +221,14 @@ void expect_thread_invariance(const place::NodeSet& nodes,
 TEST(RouteParallelTest, CrossFixtureIdenticalAcrossThreadCounts) {
   const GridFixture f = cross_fixture();
   // Margin 0 keeps the fabric exactly the contested 5x5 core.
-  expect_thread_invariance(f.nodes, f.placement, /*serial=*/false,
-                           /*margin=*/0);
-  expect_thread_invariance(f.nodes, f.placement, /*serial=*/true,
-                           /*margin=*/0);
+  expect_thread_invariance(f.nodes, f.placement, /*margin=*/0);
 }
 
 TEST(RouteParallelTest, RandomFixturesIdenticalAcrossThreadCounts) {
   for (const std::uint64_t seed : {1u, 3u, 5u, 7u, 9u, 19u}) {
     SCOPED_TRACE(::testing::Message() << "fixture seed " << seed);
     const GridFixture f = random_fixture(seed);
-    expect_thread_invariance(f.nodes, f.placement, /*serial=*/false);
-    expect_thread_invariance(f.nodes, f.placement, /*serial=*/true);
+    expect_thread_invariance(f.nodes, f.placement);
   }
 }
 
@@ -243,7 +237,7 @@ TEST(RouteParallelTest, RandomFixturesHoldV3V5UnderParallelRouting) {
     SCOPED_TRACE(::testing::Message() << "fixture seed " << seed);
     const GridFixture f = random_fixture(seed);
     const RoutingResult r =
-        route_nets(f.nodes, f.placement, options_with(8, false));
+        route_nets(f.nodes, f.placement, options_with(8));
     EXPECT_TRUE(r.legal);
     expect_v3(f.placement, r);
     expect_v5(f.placement, r);
@@ -270,7 +264,7 @@ TEST(RouteParallelTest, SaFlowIdenticalAcrossThreadCounts) {
   place::PlaceOptions popt;
   popt.seed = 11;
   const place::Placement placement = place::place_modules(nodes, popt);
-  expect_thread_invariance(nodes, placement, /*serial=*/false);
+  expect_thread_invariance(nodes, placement);
 }
 
 // A pass that does abandon: rd84_142 at workload seed 1, placed as
@@ -291,7 +285,7 @@ TEST(RouteParallelTest, AbandonedPassIdenticalAcrossThreadCounts) {
   popt.threads = 1;
   const place::Placement placement = place::place_modules(nodes, popt);
 
-  RouteOptions opt = options_with(1, false);
+  RouteOptions opt = options_with(1);
   opt.seed = copt.seed;
   opt.abandon_at_plateau = true;
   const RoutingResult one = route_nets(nodes, placement, opt);
@@ -314,26 +308,12 @@ TEST(RouteParallelTest, AbandonedPassIdenticalAcrossThreadCounts) {
 TEST(RouteParallelTest, StatsIdenticalBetweenOneAndFourThreads) {
   const GridFixture f = random_fixture(5);
   const RoutingResult one =
-      route_nets(f.nodes, f.placement, options_with(1, false));
+      route_nets(f.nodes, f.placement, options_with(1));
   const RoutingResult four =
-      route_nets(f.nodes, f.placement, options_with(4, false));
+      route_nets(f.nodes, f.placement, options_with(4));
   expect_identical(one, four);
   EXPECT_GT(one.queue_pushes, 0);
   EXPECT_GT(one.batches, 0);
-}
-
-// --route-serial is defined as the batched schedule degenerated to
-// singleton batches: every pending net its own batch (so batches ==
-// reroutes_total and mean nets per batch == 1), with no conflicts by
-// construction.
-TEST(RouteParallelTest, SerialScheduleIsSingletonBatches) {
-  const GridFixture f = random_fixture(5);
-  const RoutingResult r =
-      route_nets(f.nodes, f.placement, options_with(4, true));
-  EXPECT_TRUE(r.legal);
-  EXPECT_EQ(r.batches, r.reroutes_total);
-  EXPECT_EQ(r.conflicts_requeued, 0);
-  EXPECT_DOUBLE_EQ(r.parallel_efficiency, 1.0);
 }
 
 // The batched schedule must actually expose spatial parallelism on a
@@ -342,32 +322,14 @@ TEST(RouteParallelTest, SerialScheduleIsSingletonBatches) {
 TEST(RouteParallelTest, BatchedScheduleExposesParallelism) {
   const GridFixture f = random_fixture(5);
   const RoutingResult r =
-      route_nets(f.nodes, f.placement, options_with(2, false));
+      route_nets(f.nodes, f.placement, options_with(2));
   EXPECT_TRUE(r.legal);
   EXPECT_GT(r.batches, 0);
   EXPECT_LE(r.batches, r.reroutes_total);
   EXPECT_GE(r.parallel_efficiency, 1.0);
 }
 
-// Both open-list kernels (monotone bucket queue and binary heap) must
-// produce legal routings holding the validator invariants. Their paths may
-// differ (the bucket queue pops an integer lower bound, the heap exact f
-// order), so equality is not asserted — but each kernel must be
-// thread-count invariant on its own.
-TEST(RouteParallelTest, HeapKernelLegalAndThreadInvariant) {
-  const GridFixture f = random_fixture(5);
-  RouteOptions opt = options_with(1, false);
-  opt.bucket_queue = false;
-  const RoutingResult one = route_nets(f.nodes, f.placement, opt);
-  EXPECT_TRUE(one.legal);
-  expect_v3(f.placement, one);
-  expect_v5(f.placement, one);
-  opt.threads = 8;
-  const RoutingResult many = route_nets(f.nodes, f.placement, opt);
-  expect_identical(one, many);
-}
-
-// --route-lookahead must be a pure speed knob: with it off, the routes
+// The lookahead must be a pure speed knob: with it off, the routes
 // (and, on fixtures where every pin is reachable, every queue statistic)
 // must match the defaults exactly, and each setting must stay
 // thread-count invariant on its own.
@@ -375,7 +337,7 @@ TEST(RouteParallelTest, LookaheadOnOffRoutesIdenticalAndThreadInvariant) {
   for (const std::uint64_t seed : {1u, 5u, 9u}) {
     SCOPED_TRACE(::testing::Message() << "fixture seed " << seed);
     const GridFixture f = random_fixture(seed);
-    RouteOptions on = options_with(1, false);
+    RouteOptions on = options_with(1);
     on.lookahead = true;
     RouteOptions off = on;
     off.lookahead = false;
@@ -469,7 +431,7 @@ TEST(RouteParallelTest, LookaheadFailsDoomedConnectWithoutFlooding) {
 TEST(RouteParallelTest, CutOffPinEndsThePassUnroutable) {
   const GridFixture f = pocket_fixture();
   const RoutingResult one =
-      route_nets(f.nodes, f.placement, options_with(1, false, /*margin=*/0));
+      route_nets(f.nodes, f.placement, options_with(1, /*margin=*/0));
   EXPECT_FALSE(one.legal);
   EXPECT_TRUE(one.unroutable);
   EXPECT_EQ(one.iterations, 1);
@@ -479,7 +441,7 @@ TEST(RouteParallelTest, CutOffPinEndsThePassUnroutable) {
   for (const int threads : {2, 8}) {
     SCOPED_TRACE(::testing::Message() << "threads " << threads);
     expect_identical(one, route_nets(f.nodes, f.placement,
-                                     options_with(threads, false, 0)));
+                                     options_with(threads, 0)));
   }
 }
 
@@ -491,7 +453,7 @@ TEST(RouteParallelTest, WarmStartChainIdenticalAcrossThreadCounts) {
   const GridFixture f = random_fixture(5);
   NegotiationMemory memory;
   const RoutingResult cold = route_nets(f.nodes, f.placement,
-                                        options_with(1, false), nullptr,
+                                        options_with(1), nullptr,
                                         &memory);
   EXPECT_TRUE(cold.legal);
   EXPECT_FALSE(cold.warm_started);
@@ -499,7 +461,7 @@ TEST(RouteParallelTest, WarmStartChainIdenticalAcrossThreadCounts) {
 
   NegotiationMemory chained_one;
   const RoutingResult warm_one = route_nets(f.nodes, f.placement,
-                                            options_with(1, false), &memory,
+                                            options_with(1), &memory,
                                             &chained_one);
   EXPECT_TRUE(warm_one.legal);
   EXPECT_TRUE(warm_one.warm_started);
@@ -507,7 +469,7 @@ TEST(RouteParallelTest, WarmStartChainIdenticalAcrossThreadCounts) {
     SCOPED_TRACE(::testing::Message() << "threads " << threads);
     NegotiationMemory chained_many;
     const RoutingResult warm_many =
-        route_nets(f.nodes, f.placement, options_with(threads, false),
+        route_nets(f.nodes, f.placement, options_with(threads),
                    &memory, &chained_many);
     expect_identical(warm_one, warm_many);
     EXPECT_EQ(chained_one.valid, chained_many.valid);

@@ -333,6 +333,31 @@ TEST_F(CheckpointTest, OptionChangeInvalidatesRecords) {
   EXPECT_EQ(again.shard.windows_resumed, again.shard.windows_total);
 }
 
+// Worker counts never change results, so the options fingerprint leaves
+// them out: a resume with different jobs, place, route and shard thread
+// counts must still load every window, and stitch the same geometry.
+TEST_F(CheckpointTest, ThreadCountChangeResumesEveryWindow) {
+  const icm::IcmCircuit circuit = layered_circuit();
+  core::CompileOptions opt = fast_options();
+  core::ShardOptions shard;
+  shard.window = 4;
+  shard.checkpoint_dir = dir_.string();
+
+  const core::CompileResult fresh =
+      core::compile_sharded(circuit, opt, shard);
+  ASSERT_TRUE(fresh.routed_legal);
+  EXPECT_EQ(fresh.shard.windows_resumed, 0);
+
+  opt.jobs = 3;
+  opt.place.threads = 2;
+  opt.route.threads = 4;
+  shard.threads = 2;
+  const core::CompileResult resumed =
+      core::compile_sharded(circuit, opt, shard);
+  EXPECT_EQ(resumed.shard.windows_resumed, fresh.shard.windows_total);
+  EXPECT_EQ(geom::to_json(resumed.geometry), geom::to_json(fresh.geometry));
+}
+
 // ---------------------------------------------------------------------------
 // Layered workload family
 

@@ -16,6 +16,10 @@ introspection commands and asserts:
   * on a fresh daemon, a compile with "stats": true answers on exactly one
     line (JSONL framing) whose embedded report carries the per-level
     "passes" records, and the next response starts on the next line.
+  * on a fresh daemon, every out-of-range or non-integral number in
+    "options" or the shard_* keys is refused with bad_request before it
+    reaches the compiler, and the daemon then still compiles a valid
+    request.
 
 Usage: check_serve.py path/to/tqec_serve [--artifacts DIR]
 
@@ -219,6 +223,64 @@ def check_stats_framing(binary):
     assert health["id"] == "health" and health["admin"] == "health", health
 
 
+# Numbers an untrusted request must not smuggle into the compiler: a seed
+# whose int64 cast is undefined behaviour, silently truncated fractions,
+# worker and attempt counts outside their ranges (a huge place_restarts
+# sizes a seed vector by it), and efforts that overflow the placer's
+# iteration count.
+BAD_NUMBERS = [
+    ("seed_1e300", {"options": {"seed": 1e300}}),
+    ("jobs_2.5", {"options": {"jobs": 2.5}}),
+    ("jobs_257", {"options": {"jobs": 257}}),
+    ("jobs_neg", {"options": {"jobs": -1}}),
+    ("restarts_0", {"options": {"place_restarts": 0}}),
+    ("restarts_65", {"options": {"place_restarts": 65}}),
+    ("restarts_2e9", {"options": {"place_restarts": 2e9}}),
+    ("effort_0", {"options": {"effort": 0}}),
+    ("effort_neg", {"options": {"effort": -1}}),
+    ("effort_65", {"options": {"effort": 65}}),
+    ("shard_threads_257", {"shard_threads": 257}),
+    ("shard_threads_1.5", {"shard_threads": 1.5}),
+    ("shard_window_2e10", {"shard_window": 2e10}),
+]
+
+
+def check_number_ranges(binary):
+    """Each BAD_NUMBERS request must be refused with bad_request; a valid
+    request sent after them must still compile."""
+    proc = subprocess.Popen(
+        [binary, "--threads=1"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        for rid, fields in BAD_NUMBERS:
+            send(proc, dict({"id": rid, "icm": ICM}, **fields))
+        # An infinite effort cannot be written with json.dumps; 1e999
+        # parses as +inf.
+        proc.stdin.write('{"id": "effort_inf", "icm": %s, '
+                         '"options": {"effort": 1e999}}\n' % json.dumps(ICM))
+        send(proc, {"id": "valid", "icm": ICM,
+                    "options": {"jobs": 2.0, "place_restarts": 1}})
+        ids = [rid for rid, _ in BAD_NUMBERS] + ["effort_inf", "valid"]
+        responses = read_responses(proc, ids)
+        proc.stdin.close()
+        proc.wait(timeout=120)
+    except BaseException:
+        proc.kill()
+        raise
+    assert proc.returncode == 0, (
+        f"tqec_serve exited {proc.returncode}: {proc.stderr.read()}"
+    )
+    for rid in ids[:-1]:
+        r = responses[rid]
+        assert not r["ok"] and r["error"]["code"] == "bad_request", (
+            f"{rid}: expected bad_request, got {r}")
+    assert responses["valid"]["ok"], responses["valid"]
+
+
 def main():
     args = sys.argv[1:]
     artifacts = None
@@ -263,6 +325,7 @@ def main():
         text = check_metrics_text(admin["text"])
         access_lines = check_access_log(access_log)
         check_stats_framing(args[0])
+        check_number_ranges(args[0])
 
         if artifacts:
             os.makedirs(artifacts, exist_ok=True)

@@ -13,10 +13,14 @@
 //    "optimize": true,              // .real only: reversible peephole pass
 //    "options": {"mode": "full|dual|modular", "seed": N, "effort": F,
 //                "jobs": N, "place_restarts": K, "plan": true},
+//                                   // integers must be integral JSON
+//                                   // numbers; jobs in [0, 256],
+//                                   // place_restarts in [1, 64], effort
+//                                   // finite in (0, 64] — else bad_request
 //    "shard_window": 0,             // time-axis sharding: ASAP layers per
 //                                   // window (0 = off; see core/shard.h)
-//    "shard_threads": 1,            // concurrent window compiles (never
-//                                   // changes results)
+//    "shard_threads": 1,            // concurrent window compiles in
+//                                   // [0, 256] (never changes results)
 //    "checkpoint_dir": "",          // per-window resume checkpoints
 //    "deadline_s": 30.0,            // wall-clock budget; 0 = none
 //    "geometry": false,             // emit + validate the 3D geometry
@@ -66,9 +70,11 @@
 // core/stage_cache.h).
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -272,9 +278,32 @@ const char* mode_name(core::PipelineMode mode) {
   }
 }
 
+/// An integral request number; throws TqecError naming the key otherwise.
+std::int64_t int_field(const json::Value& v, const char* key) {
+  try {
+    return v.as_int();
+  } catch (const TqecError& e) {
+    throw TqecError(std::string("'") + key + "': " + e.what());
+  }
+}
+
+/// An integer request field within [lo, hi]; throws TqecError naming the
+/// key otherwise. Requests are untrusted: a worker count or attempt count
+/// goes on to size thread pools and seed vectors.
+int int_in_range(const json::Value& v, const char* key, int lo, int hi) {
+  const std::int64_t n = int_field(v, key);
+  if (n < lo || n > hi)
+    throw TqecError(std::string("'") + key + "' must be in [" +
+                    std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return static_cast<int>(n);
+}
+
+/// Worker counts a request may ask for (0 = one per hardware thread).
+constexpr int kMaxRequestThreads = 256;
+
 /// Translate a request's "options" object onto core::CompileOptions;
-/// throws TqecError on unknown modes / wrong types (surfaced as
-/// bad_request by the caller).
+/// throws TqecError on unknown modes, wrong types, and out-of-range
+/// numbers (surfaced as bad_request by the caller).
 void apply_options(const json::Value& v, core::CompileOptions& opt) {
   if (const json::Value* m = v.find("mode")) {
     const std::string& mode = m->as_string();
@@ -284,12 +313,17 @@ void apply_options(const json::Value& v, core::CompileOptions& opt) {
     else throw TqecError("unknown mode '" + mode + "'");
   }
   if (const json::Value* m = v.find("seed"))
-    opt.seed = static_cast<std::uint64_t>(m->as_int());
-  if (const json::Value* m = v.find("effort")) opt.effort = m->as_double();
+    opt.seed = static_cast<std::uint64_t>(int_field(*m, "seed"));
+  if (const json::Value* m = v.find("effort")) {
+    // The placer scales its iteration count by effort and casts to int.
+    opt.effort = m->as_double();
+    if (!std::isfinite(opt.effort) || opt.effort <= 0 || opt.effort > 64)
+      throw TqecError("'effort' must be finite and in (0, 64]");
+  }
   if (const json::Value* m = v.find("jobs"))
-    opt.jobs = static_cast<int>(m->as_int());
+    opt.jobs = int_in_range(*m, "jobs", 0, kMaxRequestThreads);
   if (const json::Value* m = v.find("place_restarts"))
-    opt.place_restarts = static_cast<int>(m->as_int());
+    opt.place_restarts = int_in_range(*m, "place_restarts", 1, 64);
   if (const json::Value* m = v.find("plan")) opt.plan_flips = m->as_bool();
 }
 
@@ -458,9 +492,12 @@ class Server {
       if (const json::Value* v = doc.find("options"))
         apply_options(*v, req.options);
       if (const json::Value* v = doc.find("shard_window"))
-        req.shard.window = static_cast<int>(v->as_int());
+        req.shard.window =
+            int_in_range(*v, "shard_window", std::numeric_limits<int>::min(),
+                         std::numeric_limits<int>::max());
       if (const json::Value* v = doc.find("shard_threads"))
-        req.shard.threads = static_cast<int>(v->as_int());
+        req.shard.threads =
+            int_in_range(*v, "shard_threads", 0, kMaxRequestThreads);
       if (const json::Value* v = doc.find("checkpoint_dir"))
         req.shard.checkpoint_dir = v->as_string();
     } catch (const std::exception& e) {
