@@ -13,6 +13,8 @@
 // searches fails CI even when it does not corrupt the result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -327,6 +329,111 @@ TEST(RouteParallelTest, BatchedScheduleExposesParallelism) {
   EXPECT_GT(r.batches, 0);
   EXPECT_LE(r.batches, r.reroutes_total);
   EXPECT_GE(r.parallel_efficiency, 1.0);
+}
+
+// RouteOptions::incremental = false is the reference schedule the
+// incremental one is checked against: every negotiation iteration rips up
+// and reroutes every net, so each iteration is a full sweep. Batched like
+// the default schedule, it must be thread-count invariant on its own and
+// hold the validator invariants.
+TEST(RouteParallelTest, FullSweepScheduleReroutesEveryNetEachIteration) {
+  for (const std::uint64_t seed : {1u, 5u, 9u}) {
+    SCOPED_TRACE(::testing::Message() << "fixture seed " << seed);
+    const GridFixture f = random_fixture(seed);
+    RouteOptions opt = options_with(1);
+    opt.incremental = false;
+    const RoutingResult one = route_nets(f.nodes, f.placement, opt);
+    EXPECT_TRUE(one.legal);
+    expect_v3(f.placement, one);
+    expect_v5(f.placement, one);
+    EXPECT_EQ(one.full_sweeps, one.iterations);
+    ASSERT_EQ(one.reroutes_per_iter.size(),
+              static_cast<std::size_t>(one.iterations));
+    for (const int reroutes : one.reroutes_per_iter)
+      EXPECT_EQ(reroutes, static_cast<int>(f.nodes.net_pins.size()));
+    opt.threads = 8;
+    expect_identical(one, route_nets(f.nodes, f.placement, opt));
+  }
+}
+
+/// Steps of a shortest 4-connected path between two cells of the
+/// extent x extent plane at y = 0 that avoids `walls`; -1 if unreachable.
+int bfs_distance(int extent, const std::set<std::tuple<int, int>>& walls,
+                 Vec3 from, Vec3 to) {
+  const auto at = [extent](int x, int z) {
+    return static_cast<std::size_t>(z) * extent + x;
+  };
+  std::vector<int> dist(static_cast<std::size_t>(extent) * extent, -1);
+  std::deque<Vec3> queue{from};
+  dist[at(from.x, from.z)] = 0;
+  while (!queue.empty()) {
+    const Vec3 c = queue.front();
+    queue.pop_front();
+    if (c == to) return dist[at(c.x, c.z)];
+    for (const Vec3 d : {Vec3{1, 0, 0}, Vec3{-1, 0, 0}, Vec3{0, 0, 1},
+                         Vec3{0, 0, -1}}) {
+      const Vec3 n = c + d;
+      if (n.x < 0 || n.x >= extent || n.z < 0 || n.z >= extent) continue;
+      if (walls.count({n.x, n.z}) || dist[at(n.x, n.z)] >= 0) continue;
+      dist[at(n.x, n.z)] = dist[at(c.x, c.z)] + 1;
+      queue.push_back(n);
+    }
+  }
+  return -1;
+}
+
+// The bucket-queue kernel pops an integer lower bound of f, so it must
+// still be exact on an uncongested fabric where every step costs 1: a lone
+// two-pin net between random wall modules takes a shortest path, with the
+// lookahead on and off.
+TEST(RouteParallelTest, BucketKernelFindsShortestPathAroundWalls) {
+  const int extent = 9;
+  int routed = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "wall seed " << seed);
+    Rng rng(seed);
+    std::set<std::tuple<int, int>> taken;
+    std::vector<Vec3> cells;
+    while (cells.size() < 24) {
+      const Vec3 c{rng.range(0, extent - 1), 0, rng.range(0, extent - 1)};
+      if (taken.insert({c.x, c.z}).second) cells.push_back(c);
+    }
+    // Modules 0 and 1 are the pins; the rest are walls.
+    std::set<std::tuple<int, int>> wall_cells;
+    for (std::size_t m = 2; m < cells.size(); ++m)
+      wall_cells.insert({cells[m].x, cells[m].z});
+    const int steps = bfs_distance(extent, wall_cells, cells[0], cells[1]);
+    if (steps < 0) continue;  // the router requires connectable nets
+    ++routed;
+
+    GridFixture f;
+    for (std::size_t m = 0; m < cells.size(); ++m)
+      f.nodes.node_of_module.push_back(static_cast<int>(m));
+    f.nodes.module_offset.assign(cells.size(), Vec3{});
+    f.nodes.flip_of_module.assign(cells.size(), 0);
+    f.nodes.access_offsets.assign(cells.size(), {});
+    f.nodes.net_pins = {{0, 1}};
+    f.placement.module_cell = cells;
+    f.placement.core = Box3{{0, 0, 0}, {extent - 1, 0, extent - 1}};
+    f.placement.volume = f.placement.core.volume();
+
+    for (const bool lookahead : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "lookahead " << lookahead);
+      RouteOptions opt = options_with(1, /*margin=*/0);
+      opt.lookahead = lookahead;
+      const RoutingResult r = route_nets(f.nodes, f.placement, opt);
+      EXPECT_TRUE(r.legal);
+      ASSERT_EQ(r.nets.size(), 1u);
+      // The tree lists every cell once, both pins included.
+      EXPECT_EQ(r.total_wire, steps + 1);
+      const std::vector<Vec3>& tree = r.nets[0].cells;
+      EXPECT_NE(std::find(tree.begin(), tree.end(), cells[0]), tree.end());
+      EXPECT_NE(std::find(tree.begin(), tree.end(), cells[1]), tree.end());
+      for (const Vec3& c : tree)
+        EXPECT_FALSE(wall_cells.count({c.x, c.z})) << c;
+    }
+  }
+  EXPECT_GT(routed, 6);
 }
 
 // The lookahead must be a pure speed knob: with it off, the routes
