@@ -47,32 +47,37 @@ class Value {
   /// Member access; throws TqecError when absent.
   const Value& at(const std::string& key) const {
     const Value* v = find(key);
-    TQEC_REQUIRE(v != nullptr, "json: missing member '" + key + "'");
+    if (v == nullptr) throw TqecError("json: missing member '" + key + "'");
     return *v;
   }
 
-  // Typed accessors; throw TqecError on a type mismatch.
+  // Typed accessors; throw TqecError on a type mismatch. The message is
+  // all the error carries: it reaches tqec_serve clients verbatim.
   bool as_bool() const {
-    TQEC_REQUIRE(is_bool(), "json: not a bool");
+    check(is_bool(), "json: not a bool");
     return boolean;
   }
   double as_double() const {
-    TQEC_REQUIRE(is_number(), "json: not a number");
+    check(is_number(), "json: not a number");
     return number;
   }
   /// Throws unless the number is integral and representable as int64 (a
   /// cast of anything else is lossy or undefined behaviour). 2^63 is a
   /// double, so the half-open bound is exact.
   std::int64_t as_int() const {
-    TQEC_REQUIRE(is_number(), "json: not a number");
-    TQEC_REQUIRE(number >= -0x1p63 && number < 0x1p63,
-                 "json: integer out of range");
-    TQEC_REQUIRE(std::trunc(number) == number, "json: not an integer");
+    check(is_number(), "json: not a number");
+    check(number >= -0x1p63 && number < 0x1p63, "json: integer out of range");
+    check(std::trunc(number) == number, "json: not an integer");
     return static_cast<std::int64_t>(number);
   }
   const std::string& as_string() const {
-    TQEC_REQUIRE(is_string(), "json: not a string");
+    check(is_string(), "json: not a string");
     return string;
+  }
+
+ private:
+  static void check(bool ok, const char* message) {
+    if (!ok) throw TqecError(message);
   }
 };
 

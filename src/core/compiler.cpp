@@ -760,6 +760,7 @@ std::string stats_json(const CompileResult& result) {
      << ", \"stitches\": " << sh.stitches
      << ", \"seam_cells\": " << sh.seam_cells
      << ", \"stitch_s\": " << json_double(sh.stitch_s)
+     << ", \"validate_s\": " << json_double(sh.validate_s)
      << ", \"cut_layers\": ";
   emit_number_array(os, sh.cut_layers);
   os << ", \"window_volumes\": ";

@@ -251,6 +251,8 @@ struct ShardStats {
   /// Final volume of each window's geometry, in window order.
   std::vector<std::int64_t> window_volumes;
   double stitch_s = 0;
+  /// geom::validate of the stitched geometry.
+  double validate_s = 0;
   /// Seam / window failures (empty on a fully legal sharded result).
   std::vector<std::string> issues;
 };

@@ -822,7 +822,9 @@ CompileResult compile_sharded(const icm::IcmCircuit& circuit,
 
   // The stitched geometry must pass the structural validator wholesale —
   // seams are held to the same rules as any compiled design.
+  const auto t_validate = std::chrono::steady_clock::now();
   const geom::ValidationReport vr = geom::validate(stitched.geometry);
+  result.shard.validate_s = seconds_since(t_validate);
   constexpr std::size_t kMaxReported = 16;
   for (std::size_t i = 0; i < vr.issues.size() && i < kMaxReported; ++i)
     result.shard.issues.push_back("validate: [" + vr.issues[i].rule + "] " +

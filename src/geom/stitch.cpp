@@ -383,9 +383,9 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
 
   // Carve seams serially in (seam, line-rank) order. `comp_cells` keeps
   // every component's cell list at its DSU root (seam paths included),
-  // merged small-into-root on unite, so building a carve's pass-through
-  // set costs O(|component|) instead of rescanning every staged cell —
-  // the difference between seconds and minutes at hundreds of crossings.
+  // merged into the root on unite, so building a carve's pass-through set
+  // scans one component instead of every staged cell — the difference
+  // between seconds and minutes at hundreds of crossings.
   Dsu dsu(srecs.size());
   std::vector<std::pair<std::size_t, std::vector<Segment>>> stitch_segs;
   std::vector<std::vector<Vec3>> comp_cells(srecs.size());
@@ -393,6 +393,22 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
     for (std::size_t j = 0; j < srecs[d].count; ++j)
       for_each_cell(sarena[srecs[d].first + j],
                     [&](Vec3 c) { comp_cells[d].push_back(c); });
+  // Carves run in seam order, and a carve's search regions never reach
+  // below x = min(off[w], its pin, its carry cells). `floor_x[w]` is that
+  // bound over seam w and every later seam, so a component cell with
+  // x < floor_x[w] can never enter a pass set again and is dropped before
+  // the scan: the pass sets stay exactly what a full scan would find, and
+  // a scan costs about two windows of its component instead of the whole
+  // chain stitched so far.
+  std::vector<int> floor_x(windows.size(), std::numeric_limits<int>::max());
+  for (std::size_t w = windows.size() - 1; w-- > 0;) {
+    int lo = std::min(off[w], off[w + 1] - gap + gap / 2);
+    for (const auto& [line, cell] : windows[w].carry_out)
+      lo = std::min(lo, cell.x + off[w]);
+    for (const auto& [line, cell] : windows[w + 1].carry_in)
+      lo = std::min(lo, cell.x + off[w + 1]);
+    floor_x[w] = std::min(lo, floor_x[w + 1]);
+  }
   std::vector<Vec3> pass_list;
   for (std::size_t w = 0; w + 1 < windows.size(); ++w) {
     std::unordered_map<int, Vec3> outs;
@@ -450,6 +466,8 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
       const std::size_t rq = dsu.find(static_cast<std::size_t>(qi));
       pass_list.clear();
       for (const std::size_t r : {rp, rq}) {
+        std::erase_if(comp_cells[r],
+                      [&](Vec3 c) { return c.x < floor_x[w]; });
         for (const Vec3 c : comp_cells[r])
           if (max_region.contains(c)) pass_list.push_back(c);
         if (rq == rp) break;

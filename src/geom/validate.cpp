@@ -1,6 +1,8 @@
 #include "geom/validate.h"
 
+#include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 
@@ -31,14 +33,49 @@ bool boxes_touch_or_overlap(const Box3& a, const Box3& b) {
   return a.inflated(1).intersects(b);
 }
 
-/// True when `p` lies on one of the first `upto` segments of `d` — i.e.
-/// the collision is the defect overlapping *itself* (shared corner cells
-/// of adjacent segments), which is legal and common (canonical rails,
-/// stitched seams).
-bool cell_on_earlier_segment(const DefectView& d, std::size_t upto, Vec3 p) {
-  for (std::size_t j = 0; j < upto; ++j)
-    if (d.segments[j].box().contains(p)) return true;
+/// Sort-and-sweep along x: calls `fn(a, b)` for every pair of `boxes`
+/// whose x-ranges lie within `slack` cells of each other — every pair that
+/// can intersect once one of them is inflated by `slack`. Each box scans
+/// forward through the boxes sorted by lo.x until one starts past its
+/// hi.x + slack, so the cost is the sort plus the x-overlapping pairs, not
+/// all pairs. Stops as soon as `fn` returns true, and returns whether it
+/// did.
+template <typename Fn>
+bool sweep_pairs(const std::vector<Box3>& boxes, int slack, Fn&& fn) {
+  std::vector<std::size_t> order(boxes.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return boxes[a].lo.x < boxes[b].lo.x;
+  });
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const int reach = boxes[order[i]].hi.x + slack;
+    for (std::size_t k = i + 1;
+         k < order.size() && boxes[order[k]].lo.x <= reach; ++k)
+      if (fn(order[i], order[k])) return true;
+  }
   return false;
+}
+
+/// True when some box of `a` intersects some box of `b`. An intersecting
+/// pair overlaps in x, so the box with the larger lo.x starts inside the
+/// other's x-range: scanning each side's boxes forward from lo.x through
+/// the other side (sorted by lo.x) sees every such pair.
+bool any_intersection(std::vector<Box3> a, std::vector<Box3> b) {
+  const auto by_lo_x = [](const Box3& u, const Box3& v) {
+    return u.lo.x < v.lo.x;
+  };
+  std::sort(a.begin(), a.end(), by_lo_x);
+  std::sort(b.begin(), b.end(), by_lo_x);
+  const auto scan = [&](const std::vector<Box3>& from,
+                        const std::vector<Box3>& to) {
+    for (const Box3& f : from) {
+      auto it = std::lower_bound(to.begin(), to.end(), f, by_lo_x);
+      for (; it != to.end() && it->lo.x <= f.hi.x; ++it)
+        if (f.intersects(*it)) return true;
+    }
+    return false;
+  };
+  return scan(a, b) || scan(b, a);
 }
 
 /// Reference V3 for one sublattice: the original hash-map pass. Emits the
@@ -77,33 +114,30 @@ void v3_reference_pass(const GeomDescription& g, DefectType type,
   }
 }
 
-/// Grid V3 for one sublattice: rasterize every defect into `occ`'s plane,
-/// inspecting collisions. A collision against an *earlier segment of the
-/// same defect* is legal self-overlap; anything else is a cross-defect
-/// conflict (for duals, unless port-exempt). Returns true when a conflict
-/// was found — the caller then re-runs the reference pass for identical
-/// issue output. Legal geometries complete without hashing a single cell.
+/// Grid V3 for one sublattice: each defect's cells are tested against
+/// `occ`'s plane first and set afterwards, so the plane only ever holds
+/// earlier defects and a hit is a cross-defect conflict (unless `exempt`,
+/// the dual pass's port-region rule) — a defect re-entering its own cells (shared corners,
+/// stitched rails) never registers. Returns true when a conflict was
+/// found; the caller then re-runs the reference pass for identical issue
+/// output. Legal geometries complete without hashing a single cell.
 template <typename PortExempt>
 bool v3_grid_pass(const GeomDescription& g, DefectType type,
-                  OccupancyGrid& occ, std::vector<Vec3>& collisions,
-                  PortExempt&& exempt) {
+                  OccupancyGrid& occ, PortExempt&& exempt) {
   const int plane = plane_of(type);
-  bool conflict = false;
-  for (std::size_t i = 0; i < g.defects().size() && !conflict; ++i) {
+  for (std::size_t i = 0; i < g.defects().size(); ++i) {
     const DefectView d = g.defect(i);
     if (d.type != type) continue;
-    for (std::size_t j = 0; j < d.segments.size() && !conflict; ++j) {
-      collisions.clear();
-      occ.set_segment(plane, d.segments[j], &collisions);
-      for (const Vec3 p : collisions) {
-        if (cell_on_earlier_segment(d, j, p)) continue;
-        if (type == DefectType::Dual && exempt(p)) continue;
-        conflict = true;
-        break;
-      }
+    bool conflict = false;
+    for (const Segment& s : d.segments) {
+      for_each_cell(s, [&](Vec3 p) {
+        if (!conflict && occ.test(plane, p) && !exempt(p)) conflict = true;
+      });
+      if (conflict) return true;
     }
+    for (const Segment& s : d.segments) occ.set_segment(plane, s);
   }
-  return conflict;
+  return false;
 }
 
 }  // namespace
@@ -125,6 +159,7 @@ ValidationReport validate(const GeomDescription& g,
   };
 
   // V1 + V2: per-defect checks.
+  std::vector<Box3> seg_boxes;
   for (std::size_t i = 0; i < g.defects().size(); ++i) {
     const DefectView d = g.defect(i);
     if (d.segments.empty()) {
@@ -143,12 +178,16 @@ ValidationReport validate(const GeomDescription& g,
     }
     if (!aligned) continue;
     // Connectivity: segments whose boxes touch (Chebyshev gap 0) or overlap
-    // belong to the same connected structure.
-    UnionFind uf(d.segments.size());
-    for (std::size_t a = 0; a < d.segments.size(); ++a)
-      for (std::size_t b = a + 1; b < d.segments.size(); ++b)
-        if (boxes_touch_or_overlap(d.segments[a].box(), d.segments[b].box()))
-          uf.unite(a, b);
+    // belong to the same connected structure. The sweep visits every pair
+    // within one cell of each other along x and may stop once the defect
+    // is one piece, so the component count is the all-pairs count.
+    seg_boxes.clear();
+    for (const Segment& s : d.segments) seg_boxes.push_back(s.box());
+    UnionFind uf(seg_boxes.size());
+    sweep_pairs(seg_boxes, 1, [&](std::size_t a, std::size_t b) {
+      if (boxes_touch_or_overlap(seg_boxes[a], seg_boxes[b])) uf.unite(a, b);
+      return uf.component_count() == 1;
+    });
     if (uf.component_count() != 1)
       fail("V2", "defect " + std::to_string(i) + " is disconnected (" +
                      std::to_string(uf.component_count()) + " pieces)");
@@ -163,10 +202,9 @@ ValidationReport validate(const GeomDescription& g,
     Box3 bb;
     for (const DefectView d : g.defects()) bb = bb.merged(d.bounding_box());
     OccupancyGrid occ(bb, 2);
-    std::vector<Vec3> collisions;
     const auto no_exempt = [](Vec3) { return false; };
     const bool primal_conflict =
-        v3_grid_pass(g, DefectType::Primal, occ, collisions, no_exempt);
+        v3_grid_pass(g, DefectType::Primal, occ, no_exempt);
     // A dual-dual shared cell is legal on a primal module loop itself or
     // in its port region (the face-adjacent cells).
     const auto grid_exempt = [&](Vec3 p) {
@@ -178,7 +216,7 @@ ValidationReport validate(const GeomDescription& g,
     };
     const bool dual_conflict =
         !primal_conflict &&
-        v3_grid_pass(g, DefectType::Dual, occ, collisions, grid_exempt);
+        v3_grid_pass(g, DefectType::Dual, occ, grid_exempt);
     report.grid_build_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -217,13 +255,24 @@ ValidationReport validate(const GeomDescription& g,
     v3_reference_pass(g, DefectType::Dual, dual_cells, map_exempt, fail);
   }
 
+  // V4 + V5 are detected by sweeps along x; only a design that breaks one
+  // of them runs the all-pairs loops, which emit the issues in their
+  // established order and text.
+  std::vector<Box3> extents;
+  for (const DistillBox& b : g.boxes()) extents.push_back(b.extent());
+  if (extents.empty()) return report;
+
   // V4: box overlap.
-  for (std::size_t a = 0; a < g.boxes().size(); ++a) {
-    for (std::size_t b = a + 1; b < g.boxes().size(); ++b) {
-      if (g.boxes()[a].extent().intersects(g.boxes()[b].extent())) {
-        std::ostringstream os;
-        os << "boxes " << a << " and " << b << " overlap";
-        fail("V4", os.str());
+  if (sweep_pairs(extents, 0, [&](std::size_t a, std::size_t b) {
+        return extents[a].intersects(extents[b]);
+      })) {
+    for (std::size_t a = 0; a < extents.size(); ++a) {
+      for (std::size_t b = a + 1; b < extents.size(); ++b) {
+        if (extents[a].intersects(extents[b])) {
+          std::ostringstream os;
+          os << "boxes " << a << " and " << b << " overlap";
+          fail("V4", os.str());
+        }
       }
     }
   }
@@ -231,13 +280,18 @@ ValidationReport validate(const GeomDescription& g,
   // V5: defect cells inside box interiors (the cell adjacent to the box
   // face where the injected state exits is outside the extent, so plain
   // containment is the right test).
-  for (std::size_t i = 0; i < g.defects().size(); ++i) {
-    for (const Segment& s : g.defect(i).segments) {
-      for (std::size_t b = 0; b < g.boxes().size(); ++b) {
-        if (g.boxes()[b].extent().intersects(s.box())) {
-          std::ostringstream os;
-          os << "defect " << i << " enters box " << b;
-          fail("V5", os.str());
+  seg_boxes.clear();
+  for (const DefectView d : g.defects())
+    for (const Segment& s : d.segments) seg_boxes.push_back(s.box());
+  if (any_intersection(std::move(seg_boxes), extents)) {
+    for (std::size_t i = 0; i < g.defects().size(); ++i) {
+      for (const Segment& s : g.defect(i).segments) {
+        for (std::size_t b = 0; b < extents.size(); ++b) {
+          if (extents[b].intersects(s.box())) {
+            std::ostringstream os;
+            os << "defect " << i << " enters box " << b;
+            fail("V5", os.str());
+          }
         }
       }
     }

@@ -17,14 +17,23 @@
 //       the place for the distillation sub-circuit).
 // Cross-type sharing of a cell is legal (half-offset sublattices).
 //
-// Engines: the default V3 pass rasterizes each defect into a dense
-// bit-grid (geom/cell_grid.h) and inspects word-level collisions, so a
-// legal geometry never hashes a single Vec3. When a cross-defect
-// collision *is* detected, the pass re-runs the original hash-map
-// reference for that sublattice so the emitted issues (text and order)
-// are byte-identical to the reference engine. `ValidateOptions.use_grid
-// = false` forces the reference engine throughout — kept for A/B tests
-// and benchmarks.
+// Cost: no check is all-pairs on a legal design. Each costs a sort plus
+// the pairs that overlap along x, or one grid probe per cell — near-linear
+// for real designs, whose defects run along the time axis — so a stitched
+// long circuit (defects of thousands of segments) validates in
+// milliseconds.
+//   - V2 sort-and-sweeps one defect's segment boxes along x into a
+//     union-find; the piece count equals the all-pairs count.
+//   - The default V3 pass rasterizes defects into a dense bit-grid
+//     (geom/cell_grid.h), testing all of a defect's cells before setting
+//     any, so a hit is always a cross-defect share and a legal geometry
+//     never hashes a single Vec3. When a share *is* found, the pass
+//     re-runs the original hash-map reference so the emitted issues
+//     (text and order) are byte-identical to the reference engine.
+//     `ValidateOptions.use_grid = false` forces the reference engine
+//     throughout — kept for A/B tests and benchmarks.
+//   - V4 and V5 detect any overlap with sweeps along x and only then run
+//     the all-pairs loops that emit their issues in order.
 #pragma once
 
 #include <cstdint>

@@ -4,12 +4,14 @@
 // and stitch engines against their hash-set reference paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/union_find.h"
 #include "core/compiler.h"
 #include "core/paper_tables.h"
 #include "core/shard.h"
@@ -283,6 +285,193 @@ TEST(ValidateEngineABTest, BrokenSoupsProduceIdenticalIssues) {
     EXPECT_FALSE(a.ok()) << "seed " << seed
                          << ": soup unexpectedly clean, weaken the box";
   }
+}
+
+// Validate both ways and require byte-identical reports.
+geom::ValidationReport validate_both(const geom::GeomDescription& g) {
+  geom::ValidateOptions grid_off;
+  grid_off.use_grid = false;
+  const geom::ValidationReport a = geom::validate(g);
+  const geom::ValidationReport b = geom::validate(g, grid_off);
+  EXPECT_EQ(report_text(a), report_text(b)) << g.name();
+  return a;
+}
+
+std::string rule_text(const geom::ValidationReport& r, const char* rule) {
+  std::string s;
+  for (const geom::ValidationIssue& i : r.issues)
+    if (i.rule == rule) s += i.detail + "\n";
+  return s;
+}
+
+/// A random axis-aligned walk of `steps` segments from `at`, each step
+/// 1..3 cells along a random axis, clamped to `box`.
+std::vector<geom::Segment> random_walk(Rng& rng, Vec3 at, const Box3& box,
+                                       int steps) {
+  std::vector<geom::Segment> segments;
+  for (int step = 0; step < steps; ++step) {
+    Vec3 to = at;
+    const int axis = rng.range(0, 2);
+    int& c = axis == 0 ? to.x : axis == 1 ? to.y : to.z;
+    const int lo = axis == 0 ? box.lo.x : axis == 1 ? box.lo.y : box.lo.z;
+    const int hi = axis == 0 ? box.hi.x : axis == 1 ? box.hi.y : box.hi.z;
+    c = std::clamp(c + rng.range(1, 3) * (rng.range(0, 1) ? 1 : -1), lo, hi);
+    segments.push_back({at, to});
+    at = to;
+  }
+  return segments;
+}
+
+TEST(ValidateSweepTest, V2PieceCountsMatchAllPairs) {
+  // Scattered segments make many-piece defects, random walks one-piece
+  // ones; the sweep's counts must equal the all-pairs union-find's.
+  int disconnected = 0, connected = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    geom::GeomDescription g("v2_soup" + std::to_string(seed));
+    const Box3 box{{0, 0, 0}, {24, 12, 12}};
+    for (int d = 0; d < 8; ++d) {
+      geom::Defect defect;
+      defect.type = d % 2 ? geom::DefectType::Dual : geom::DefectType::Primal;
+      const int n = rng.range(1, 40);
+      if (rng.range(0, 1)) {
+        for (int k = 0; k < n; ++k)
+          defect.segments.push_back(random_segment(rng, box, 6));
+      } else {
+        defect.segments = random_walk(rng, {12, 6, 6}, box, n);
+      }
+      g.add_defect(defect);
+    }
+    std::string expected;
+    for (std::size_t i = 0; i < g.defects().size(); ++i) {
+      const auto segments = g.defect(i).segments;
+      UnionFind uf(segments.size());
+      for (std::size_t a = 0; a < segments.size(); ++a)
+        for (std::size_t b = a + 1; b < segments.size(); ++b)
+          if (segments[a].box().inflated(1).intersects(segments[b].box()))
+            uf.unite(a, b);
+      if (uf.component_count() == 1) {
+        ++connected;
+        continue;
+      }
+      ++disconnected;
+      expected += "defect " + std::to_string(i) + " is disconnected (" +
+                  std::to_string(uf.component_count()) + " pieces)\n";
+    }
+    EXPECT_EQ(rule_text(validate_both(g), "V2"), expected) << "seed " << seed;
+  }
+  EXPECT_GT(disconnected, 0);
+  EXPECT_GT(connected, 0);
+}
+
+TEST(ValidateSweepTest, SelfReentryThroughFarEarlierSegmentIsLegal) {
+  // A long primal walk that finally returns to a cell of its very first
+  // segment, hundreds of segments back; a second primal defect runs
+  // alongside (adjacent, never sharing a cell) and a dual defect retraces
+  // the first one's cells on the other sublattice.
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    Rng rng(seed);
+    geom::GeomDescription g("reentry" + std::to_string(seed));
+    geom::Defect walk;
+    walk.type = geom::DefectType::Primal;
+    walk.segments.push_back({{0, 0, 0}, {40, 0, 0}});
+    walk.segments.push_back({{40, 0, 0}, {40, 1, 0}});
+    for (const geom::Segment& s :
+         random_walk(rng, {40, 1, 0}, Box3{{0, 1, 0}, {40, 12, 12}}, 400))
+      walk.segments.push_back(s);
+    const Vec3 end = walk.segments.back().b;
+    walk.segments.push_back({end, {20, end.y, end.z}});
+    walk.segments.push_back({{20, end.y, end.z}, {20, end.y, 0}});
+    walk.segments.push_back({{20, end.y, 0}, {20, 0, 0}});  // re-entry
+    g.add_defect(walk);
+    geom::Defect side;
+    side.type = geom::DefectType::Primal;
+    side.segments.push_back({{0, 0, -1}, {40, 0, -1}});
+    g.add_defect(side);
+    walk.type = geom::DefectType::Dual;
+    g.add_defect(walk);
+    const geom::ValidationReport r = validate_both(g);
+    EXPECT_TRUE(r.ok()) << "seed " << seed << ": " << r.summary();
+  }
+}
+
+TEST(ValidateSweepTest, CrossCollisionOnOwnEarlierCellIsReported) {
+  // Defect 1 crosses defect 0 at (5,0,3) on its first segment and comes
+  // back through the same cell on its last one: the cross-defect share
+  // must be reported, on either sublattice.
+  for (const geom::DefectType type :
+       {geom::DefectType::Primal, geom::DefectType::Dual}) {
+    geom::GeomDescription g("cross_reentry");
+    g.add_defect(type, 0, std::vector<geom::Segment>{{{5, 0, 0}, {5, 0, 6}}});
+    g.add_defect(type, 1,
+                 std::vector<geom::Segment>{{{0, 0, 3}, {10, 0, 3}},
+                                            {{10, 0, 3}, {10, 0, 9}},
+                                            {{10, 0, 9}, {5, 0, 9}},
+                                            {{5, 0, 9}, {5, 0, 3}}});
+    const geom::ValidationReport r = validate_both(g);
+    const std::string prefix =
+        type == geom::DefectType::Primal ? "primal" : "dual";
+    EXPECT_NE(rule_text(r, "V3").find(prefix +
+                                      " defects 0 and 1 share cell (5,0,3)"),
+              std::string::npos)
+        << r.summary();
+  }
+}
+
+TEST(ValidateSweepTest, RandomWalksAgreeWithReference) {
+  // Self-overlapping walks in overlapping slabs: some seeds stay clean,
+  // others collide across defects, and every report matches the reference.
+  int clean = 0, dirty = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    geom::GeomDescription g("walks" + std::to_string(seed));
+    for (int d = 0; d < 6; ++d) {
+      const Box3 slab{{8 * d, 0, 0}, {8 * d + 9, 8, 8}};
+      g.add_defect(d % 3 == 2 ? geom::DefectType::Dual
+                              : geom::DefectType::Primal,
+                   d, random_walk(rng, {8 * d + 4, 4, 4}, slab, 80));
+    }
+    (validate_both(g).ok() ? clean : dirty) += 1;
+  }
+  EXPECT_GT(clean, 0);
+  EXPECT_GT(dirty, 0);
+}
+
+TEST(ValidateSweepTest, V4V5HitsMatchAllPairs) {
+  int hits = 0, misses = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    geom::GeomDescription g("boxes" + std::to_string(seed));
+    const Box3 box{{0, 0, 0}, {80, 20, 20}};
+    for (int d = 0; d < 6; ++d)
+      g.add_defect(geom::DefectType::Primal, d,
+                   std::vector<geom::Segment>{random_segment(rng, box, 12)});
+    for (int b = 0; b < 12; ++b) {
+      geom::DistillBox db;
+      db.kind = rng.range(0, 3) ? geom::BoxKind::YBox : geom::BoxKind::ABox;
+      db.origin = {rng.range(0, 80), rng.range(0, 20), rng.range(0, 20)};
+      g.add_box(db);
+    }
+    std::string expected;
+    const auto& boxes = g.boxes();
+    for (std::size_t a = 0; a < boxes.size(); ++a)
+      for (std::size_t b = a + 1; b < boxes.size(); ++b)
+        if (boxes[a].extent().intersects(boxes[b].extent()))
+          expected += "boxes " + std::to_string(a) + " and " +
+                      std::to_string(b) + " overlap\n";
+    for (std::size_t i = 0; i < g.defects().size(); ++i)
+      for (const geom::Segment& s : g.defect(i).segments)
+        for (std::size_t b = 0; b < boxes.size(); ++b)
+          if (boxes[b].extent().intersects(s.box()))
+            expected += "defect " + std::to_string(i) + " enters box " +
+                        std::to_string(b) + "\n";
+    const geom::ValidationReport r = validate_both(g);
+    EXPECT_EQ(rule_text(r, "V4") + rule_text(r, "V5"), expected)
+        << "seed " << seed;
+    (expected.empty() ? misses : hits) += 1;
+  }
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
 }
 
 // ---------------------------------------------------------------------------

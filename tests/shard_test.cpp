@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/trace.h"
 #include "core/paper_tables.h"
 #include "core/shard.h"
@@ -211,6 +212,29 @@ TEST(ShardDeterminismTest, BitIdenticalAcrossShardAndThreadCounts) {
       EXPECT_EQ(r.shard.seam_cells, base.shard.seam_cells);
     }
   }
+}
+
+// Golden pin on a long stitched design: its seams chain hundreds of
+// crossings into defects of thousands of segments, the shape the
+// stitcher's pass-set pruning and the validator's sweeps are exact
+// rewrites for. Recorded before either landed; any drift is a bug.
+TEST(ShardGoldenTest, LongStitchedGeometryIsPinned) {
+  const core::CompileOptions opt;
+  icm::LayeredWorkloadSpec spec;
+  spec.seed = opt.seed;
+  ASSERT_TRUE(icm::parse_layered_name("long_16x128_t1_c3", spec));
+  core::ShardOptions shard;
+  shard.window = 8;
+  const core::CompileResult r =
+      core::compile_sharded(icm::make_layered_workload(spec), opt, shard);
+  ASSERT_TRUE(r.routed_legal);
+  EXPECT_TRUE(r.shard.issues.empty()) << r.shard.issues.front();
+  Digest128 digest;
+  digest.update(geom::to_json(r.geometry));
+  EXPECT_EQ(r.volume, 475104);
+  EXPECT_EQ(r.shard.seam_cells, 21842);
+  EXPECT_EQ(digest.lo, 0xddcb950e11772076ull);
+  EXPECT_EQ(digest.hi, 0xd92ba52cc73cfc2dull);
 }
 
 TEST(ShardDeterminismTest, WindowZeroDelegatesToUnsharded) {
@@ -417,6 +441,9 @@ TEST(ShardObservabilityTest, PeakRssAndGaugesPublished) {
   const std::string json = core::stats_json(r);
   EXPECT_NE(json.find("\"shard\""), std::string::npos);
   EXPECT_NE(json.find("\"peak_rss_bytes\""), std::string::npos);
+  // The stitched geometry's validation is timed on its own.
+  EXPECT_GT(r.shard.validate_s, 0);
+  EXPECT_NE(json.find("\"validate_s\""), std::string::npos);
 }
 
 }  // namespace

@@ -18,8 +18,9 @@ introspection commands and asserts:
     "passes" records, and the next response starts on the next line.
   * on a fresh daemon, every out-of-range or non-integral number in
     "options" or the shard_* keys is refused with bad_request before it
-    reaches the compiler, and the daemon then still compiles a valid
-    request.
+    reaches the compiler, with a message free of internals (no failed
+    C++ condition, no source path), and the daemon then still compiles
+    a valid request.
 
 Usage: check_serve.py path/to/tqec_serve [--artifacts DIR]
 
@@ -28,6 +29,7 @@ the access log are copied into DIR for CI artifact upload.
 """
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -278,6 +280,12 @@ def check_number_ranges(binary):
         r = responses[rid]
         assert not r["ok"] and r["error"]["code"] == "bad_request", (
             f"{rid}: expected bad_request, got {r}")
+        # The message names the field and the rule, nothing of the
+        # implementation: no failed C++ condition, no source file.
+        message = r["error"]["message"]
+        assert "precondition" not in message and not re.search(
+            r"[\w/\\]+\.(?:h|cpp)\b", message), (
+            f"{rid}: error text leaks internals: {message!r}")
     assert responses["valid"]["ok"], responses["valid"]
 
 
