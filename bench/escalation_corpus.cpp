@@ -1,17 +1,21 @@
 // Corpus check for fail-fast whitespace escalation
 // (CompileOptions::abandon_plateaued_levels, RouteOptions::
-// abandon_at_plateau): compiles every corpus input with plateau abandoning
-// on and off and fails (exit 1) on
+// abandon_at_plateau): compiles every corpus input with abandoning on and
+// off and fails (exit 1) on
 //   - any difference in legality, volume, or geometry digest, or
 //   - any abandoned pass whose abandoning-off counterpart converges.
-// It prints every input's per-level outcomes, the passes abandoned, the
-// route seconds saved, and the margin between the largest first plateau of
-// any converging pass and the smallest plateau the rule abandoned at.
+// It prints every input's per-level outcomes, the passes abandoned by each
+// trigger, the route seconds saved, and the margins of both triggers
+// (route::abandon_trigger): the largest iteration-2 overuse of any
+// converging y_gap=0 pass against the smallest the contraction trigger
+// fired at, and the largest first plateau of any converging pass against
+// the smallest plateau the plateau trigger fired at.
 //
 //   escalation_corpus [--set=full|ci] [--jobs=N]
 //
 // Sets (all generated in-process, deterministic):
-//   full — the paper rows but ham15_107 at workload seeds 1-6 (42 inputs);
+//   full — the paper rows but ham15_107 at workload seeds 1-7 (49 inputs;
+//          seed 7 is the instance `tqec_compress benchmark` compiles);
 //          192 random reversible circuits (10 qubits, 24 gates, generator
 //          seed 1) through the .real front end; 8 long_24x160_t1_c3
 //          layered circuits (workload seeds 0-7), each compiled unsharded
@@ -84,6 +88,29 @@ std::string hex(const Digest128& d) {
   return buf;
 }
 
+/// The largest or smallest overused count seen so far and the input it
+/// came from.
+struct Extreme {
+  std::optional<int> value;
+  std::string at;
+
+  void keep_max(int v, const std::string& name) {
+    if (!value || v > *value) {
+      value = v;
+      at = name;
+    }
+  }
+  void keep_min(int v, const std::string& name) {
+    if (!value || v < *value) {
+      value = v;
+      at = name;
+    }
+  }
+  void print(const char* what) const {
+    if (value) std::printf("%s: %d (%s)\n", what, *value, at.c_str());
+  }
+};
+
 /// The overused count at a series' first non-decrease (the plateau the
 /// abandon rule looks at), or nullopt for a series that only falls.
 std::optional<int> first_plateau(const std::vector<int>& series) {
@@ -138,7 +165,7 @@ Arm compile_arm(const CorpusInput& in, bool abandon) {
 
 std::vector<CorpusInput> build_corpus(bool ci) {
   std::vector<CorpusInput> corpus;
-  const int last_seed = ci ? 1 : 6;
+  const int last_seed = ci ? 1 : 7;
   for (const core::PaperBenchmark& bench : core::paper_benchmarks()) {
     if (bench.name == "ham15_107") continue;
     for (int seed = 1; seed <= last_seed; ++seed) {
@@ -244,10 +271,13 @@ int main(int argc, char** argv) {
   });
 
   int failures = 0;
-  int passes = 0, converging = 0, failing_y0 = 0, abandoned = 0;
+  int passes = 0, converging = 0, failing_y0 = 0;
+  int by_contraction = 0, by_plateau = 0;
   double route_on = 0, route_off = 0;
-  std::optional<int> max_converging_plateau, min_abandoned_plateau;
-  std::string max_converging_at, min_abandoned_at;
+  // Margins of the two triggers: the worst case a converging pass reaches
+  // against the mildest case the trigger fired at.
+  Extreme max_converging_iter2, min_contraction_iter2;
+  Extreme max_converging_plateau, min_abandoned_plateau;
   Digest128 corpus_digest;
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const CorpusInput& in = corpus[i];
@@ -262,28 +292,30 @@ int main(int argc, char** argv) {
                 std::to_string(off.volume);
     }
     for (std::size_t p = 0; p < on.passes.size(); ++p) {
-      if (on.passes[p].outcome != core::PassOutcome::Abandoned) continue;
-      ++abandoned;
+      const core::PassStats& pass = on.passes[p];
+      if (pass.outcome != core::PassOutcome::Abandoned) continue;
       if (p >= off.passes.size() ||
           off.passes[p].outcome == core::PassOutcome::Legal)
         verdict = "ABANDONED A CONVERGING PASS (level " + std::to_string(p) +
                   ")";
-      if (const auto plateau = first_plateau(on.passes[p].overused_per_iter);
-          plateau && (!min_abandoned_plateau || *plateau < *min_abandoned_plateau)) {
-        min_abandoned_plateau = plateau;
-        min_abandoned_at = in.name;
+      if (pass.abandoned_by == route::AbandonTrigger::Contraction) {
+        ++by_contraction;
+        min_contraction_iter2.keep_min(pass.overused_per_iter.back(),
+                                       in.name);
+      } else {
+        ++by_plateau;
+        if (const auto plateau = first_plateau(pass.overused_per_iter))
+          min_abandoned_plateau.keep_min(*plateau, in.name);
       }
     }
     for (const core::PassStats& p : off.passes) {
       ++passes;
       if (p.outcome == core::PassOutcome::Legal) {
         ++converging;
-        if (const auto plateau = first_plateau(p.overused_per_iter);
-            plateau && (!max_converging_plateau ||
-                        *plateau > *max_converging_plateau)) {
-          max_converging_plateau = plateau;
-          max_converging_at = in.name;
-        }
+        if (const auto plateau = first_plateau(p.overused_per_iter))
+          max_converging_plateau.keep_max(*plateau, in.name);
+        if (p.y_gap == 0 && p.overused_per_iter.size() >= 2)
+          max_converging_iter2.keep_max(p.overused_per_iter[1], in.name);
       } else if (p.y_gap == 0) {
         ++failing_y0;
       }
@@ -308,18 +340,22 @@ int main(int argc, char** argv) {
               "abandoning off: %d converge, %d failing y_gap=0\n",
               corpus.size(), ci ? "ci" : "full", passes, converging,
               failing_y0);
-  std::printf("abandoned passes: %d (of %d failing y_gap=0)\n", abandoned,
-              failing_y0);
+  std::printf("abandoned passes: %d (of %d failing y_gap=0): %d at "
+              "iteration 2 (contraction), %d at their first plateau\n",
+              by_contraction + by_plateau, failing_y0, by_contraction,
+              by_plateau);
   std::printf("route seconds: %.2f with abandoning off, %.2f on (saved "
               "%.2f)\n",
               route_off, route_on, route_off - route_on);
-  if (max_converging_plateau)
-    std::printf("largest first plateau of a converging pass: %d (%s)\n",
-                *max_converging_plateau, max_converging_at.c_str());
-  if (min_abandoned_plateau)
-    std::printf("smallest plateau abandoned at: %d (%s); threshold %d\n",
-                *min_abandoned_plateau, min_abandoned_at.c_str(),
-                route::kAbandonOverused);
+  max_converging_iter2.print(
+      "largest iteration-2 overuse of a converging y_gap=0 pass");
+  min_contraction_iter2.print(
+      "smallest iteration-2 overuse the contraction trigger fired at");
+  std::printf("contraction trigger: >= %d cells and >= %d%% of iteration 1\n",
+              route::kContractionOverused, route::kContractionPercent);
+  max_converging_plateau.print("largest first plateau of a converging pass");
+  min_abandoned_plateau.print("smallest plateau abandoned at");
+  std::printf("plateau trigger: >= %d cells\n", route::kAbandonOverused);
   std::printf("corpus digest: %s\n", hex(corpus_digest).c_str());
   std::printf("wall: %.1f s with --jobs=%d\n", wall_s, jobs);
   if (failures > 0) {

@@ -351,19 +351,24 @@ CompileResult compile(const icm::IcmCircuit& circuit,
       pass.overused_per_iter = a.routing.overused_per_iter;
       pass.queue_pops = a.routing.queue_pops;
       pass.queue_pushes = a.routing.queue_pushes;
+      const bool abandoned =
+          a.routing.abandoned_by != route::AbandonTrigger::None;
       pass.outcome = a.routing.legal        ? PassOutcome::Legal
-                     : a.routing.abandoned  ? PassOutcome::Abandoned
+                     : abandoned            ? PassOutcome::Abandoned
                      : a.routing.unroutable ? PassOutcome::Unroutable
                                             : PassOutcome::Illegal;
+      pass.abandoned_by = a.routing.abandoned_by;
       a.stats.passes.push_back(pass);
       if (a.routing.legal) break;
+      std::string why;
+      if (abandoned)
+        why = " (abandoned at iteration " +
+              std::to_string(a.routing.iterations) + ": " +
+              route::abandon_trigger_name(a.routing.abandoned_by) + ")";
+      else if (a.routing.unroutable)
+        why = " (a net is cut off)";
       TQEC_LOG_INFO("attempt " << k << ": routing illegal at y-gap " << y_gap
-                               << (a.routing.abandoned
-                                       ? " (abandoned at its first plateau)"
-                                   : a.routing.unroutable
-                                       ? " (a net is cut off)"
-                                       : "")
-                               << "; escalating whitespace");
+                               << why << "; escalating whitespace");
     }
     a.stats.volume = a.routing.volume;
     a.stats.legal = a.routing.legal;
@@ -711,7 +716,11 @@ std::string stats_json(const CompileResult& result) {
       emit_number_array(os, pass.overused_per_iter);
       os << ", \"queue_pops\": " << pass.queue_pops
          << ", \"queue_pushes\": " << pass.queue_pushes << ", \"outcome\": \""
-         << pass_outcome_name(pass.outcome) << "\"}";
+         << pass_outcome_name(pass.outcome) << "\"";
+      if (pass.outcome == PassOutcome::Abandoned)
+        os << ", \"abandoned_by\": \""
+           << route::abandon_trigger_name(pass.abandoned_by) << "\"";
+      os << "}";
     }
     os << "]}";
   }

@@ -80,9 +80,11 @@ struct CompileOptions {
   /// "emit_geometry", "done") — the same boundaries the trace spans mark.
   /// Must not throw; may call cancel.cancel() (a deadline watchdog does).
   std::function<void(const char* stage)> progress;
-  /// Let the y_gap = 0 whitespace-escalation level give up at its first
-  /// congestion plateau (route::RouteOptions::abandon_at_plateau) instead
-  /// of negotiating and repairing to the end before escalating. The later
+  /// Let the y_gap = 0 whitespace-escalation level give up once its
+  /// negotiation is recognizably doomed — still heavily overused after
+  /// iteration 2, or at its first congestion plateau
+  /// (route::RouteOptions::abandon_at_plateau) — instead of negotiating
+  /// and repairing to the end before escalating. The later
   /// levels always run to completion, and compile() overrides
   /// route.abandon_at_plateau per level from this field.
   bool abandon_plateaued_levels = true;
@@ -94,7 +96,7 @@ struct CompileOptions {
 enum class PassOutcome : std::uint8_t {
   Legal,
   Illegal,
-  Abandoned,   // gave up at its first congestion plateau
+  Abandoned,   // gave up early (PassStats::abandoned_by names the trigger)
   Unroutable,  // a pin was cut off from its net (route::RoutingResult)
 };
 
@@ -111,6 +113,7 @@ struct PassStats {
   std::int64_t queue_pops = 0;
   std::int64_t queue_pushes = 0;
   PassOutcome outcome = PassOutcome::Illegal;
+  route::AbandonTrigger abandoned_by = route::AbandonTrigger::None;
 };
 
 /// Observability record of one place+route attempt of the multi-seed

@@ -56,6 +56,16 @@ struct NetIndex {
   }
 };
 
+/// A net's cached wirelength and the range of layers its node terms sit
+/// on (the span a layer-base shift must cross to change its length).
+struct NetState {
+  std::int64_t wl = 0;
+  int layer_lo = 0;
+  int layer_hi = 0;
+
+  bool operator==(const NetState&) const = default;
+};
+
 /// One annealing chain (replica): the complete mutable SA state plus its
 /// own RNG stream and ladder temperature. Chains never touch each other's
 /// state while running, so replicas can anneal concurrently; every
@@ -106,8 +116,9 @@ class Chain {
 #ifndef NDEBUG
     {
       const std::int64_t tracked = total_wire_;
+      const std::vector<NetState> tracked_nets = nets_;
       full_wire_recompute();
-      TQEC_ASSERT(total_wire_ == tracked,
+      TQEC_ASSERT(total_wire_ == tracked && nets_ == tracked_nets,
                   "incremental wirelength diverged from full recompute");
       for (std::size_t net = 0; net < nodes_.net_pins.size(); ++net) {
         Box3 pins;
@@ -135,7 +146,7 @@ class Chain {
     std::swap(plane_x_, other.plane_x_);
     std::swap(plane_z_, other.plane_z_);
     std::swap(layer_base_, other.layer_base_);
-    std::swap(wl_of_net_, other.wl_of_net_);
+    std::swap(nets_, other.nets_);
     std::swap(net_stamp_, other.net_stamp_);
     std::swap(stamp_, other.stamp_);
     std::swap(total_wire_, other.total_wire_);
@@ -324,60 +335,110 @@ class Chain {
     return (d.x - 1) + (d.y - 1) + (d.z - 1);
   }
 
+  NetState net_state(std::size_t net) const {
+    NetState state;
+    state.wl = net_wirelength(net);
+    const std::size_t first = index_.first_term[net];
+    const std::size_t last = index_.first_term[net + 1];
+    if (first == last) return state;  // pinless: layer 0, never shifts
+    const auto layer = [this](const NetTerm& term) {
+      return layer_of_node_[static_cast<std::size_t>(term.node)];
+    };
+    state.layer_lo = state.layer_hi = layer(index_.terms[first]);
+    for (std::size_t t = first + 1; t < last; ++t) {
+      state.layer_lo = std::min(state.layer_lo, layer(index_.terms[t]));
+      state.layer_hi = std::max(state.layer_hi, layer(index_.terms[t]));
+    }
+    return state;
+  }
+
   void full_wire_recompute() {
     total_wire_ = 0;
     for (std::size_t n = 0; n < nodes_.net_pins.size(); ++n) {
-      wl_of_net_[n] = net_wirelength(n);
-      total_wire_ += wl_of_net_[n];
+      nets_[n] = net_state(n);
+      total_wire_ += nets_[n].wl;
     }
   }
 
-  /// Refresh layer bases, then the wirelength of the nets incident to the
-  /// nodes whose cells changed this move (full recompute when a layer
-  /// height change shifted the bases — rare). Returns the new cost.
+  /// Refresh layer bases and the wirelength of every net the move can
+  /// have changed: the nets incident to the nodes whose cells moved, plus
+  /// — when a layer-height change shifted the bases — the nets whose layer
+  /// span crosses a boundary between layers that shifted by different
+  /// amounts (HPWL and MST are translation-invariant, so a net shifted as
+  /// a whole keeps its length). `full_nets` recomputes every net instead.
+  /// The old bases and net states go to a journal that
+  /// restore_evaluation() replays when the move is rejected. Returns the
+  /// new cost.
   double evaluate(bool full_nets, std::int64_t* volume_out,
                   std::int64_t* wire_out) {
+    journal_.clear();
+    journal_total_wire_ = total_wire_;
+    bases_shifted_ = false;
     int width = 0;
     int depth = 0;
     int base = 0;
-    bool bases_changed = false;
     for (std::size_t l = 0; l < cache_.size(); ++l) {
       width = std::max(width, cache_[l].width);
       depth = std::max(depth, cache_[l].depth);
-      if (layer_base_[l] != base) bases_changed = true;
+      if (layer_base_[l] != base && !bases_shifted_) {
+        journal_base_ = layer_base_;
+        bases_shifted_ = true;
+      }
       layer_base_[l] = base;
       base += cache_[l].height;
     }
     const std::int64_t volume =
         std::int64_t{width} * depth * std::max(base, 1);
 
-    if (full_nets || bases_changed) {
+    if (full_nets) {
       full_wire_recompute();
     } else {
       ++stamp_;
-      for (int node : changed_nodes_) {
-        for (int net : index_.nets_of_node[static_cast<std::size_t>(node)]) {
-          if (net_stamp_[static_cast<std::size_t>(net)] == stamp_) continue;
-          net_stamp_[static_cast<std::size_t>(net)] = stamp_;
-          total_wire_ -= wl_of_net_[static_cast<std::size_t>(net)];
-          wl_of_net_[static_cast<std::size_t>(net)] =
-              net_wirelength(static_cast<std::size_t>(net));
-          total_wire_ += wl_of_net_[static_cast<std::size_t>(net)];
-        }
+      // Nets of moved nodes first: a node that changed layers changes the
+      // spans the shift scan below reads.
+      for (int node : changed_nodes_)
+        for (int net : index_.nets_of_node[static_cast<std::size_t>(node)])
+          reevaluate(static_cast<std::size_t>(net));
+      if (bases_shifted_) {
+        // shift_steps_[l]: boundaries below layer l whose two sides
+        // shifted by different amounts.
+        shift_steps_.assign(layer_base_.size(), 0);
+        for (std::size_t l = 1; l < layer_base_.size(); ++l)
+          shift_steps_[l] =
+              shift_steps_[l - 1] +
+              (layer_base_[l] - journal_base_[l] !=
+               layer_base_[l - 1] - journal_base_[l - 1]);
+        for (std::size_t net = 0; net < nets_.size(); ++net)
+          if (shift_steps_[static_cast<std::size_t>(nets_[net].layer_hi)] !=
+              shift_steps_[static_cast<std::size_t>(nets_[net].layer_lo)])
+            reevaluate(net);
       }
-    }
-
-    double order_penalty = 0;
-    for (const auto& [before, after] : nodes_.cross_order) {
-      const int xa = module_cell(before).x;
-      const int xb = module_cell(after).x;
-      if (xa >= xb) order_penalty += 10.0 * (xa - xb + 1);
     }
 
     if (volume_out != nullptr) *volume_out = volume;
     if (wire_out != nullptr) *wire_out = total_wire_;
     return opt_.alpha_volume * static_cast<double>(volume) +
-           opt_.beta_wire * static_cast<double>(total_wire_) + order_penalty;
+           opt_.beta_wire * static_cast<double>(total_wire_);
+  }
+
+  /// Recompute one net's state (once per evaluate), journaling the old
+  /// one.
+  void reevaluate(std::size_t net) {
+    if (net_stamp_[net] == stamp_) return;
+    net_stamp_[net] = stamp_;
+    journal_.emplace_back(net, nets_[net]);
+    total_wire_ -= nets_[net].wl;
+    nets_[net] = net_state(net);
+    total_wire_ += nets_[net].wl;
+  }
+
+  /// Undo the last evaluate: restore the journaled bases and net states.
+  /// The rejected move's layout is already rolled back, so these are
+  /// exactly the values a fresh evaluation would compute.
+  void restore_evaluation() {
+    for (const auto& [net, state] : journal_) nets_[net] = state;
+    total_wire_ = journal_total_wire_;
+    if (bases_shifted_) layer_base_.swap(journal_base_);
   }
 
   std::tuple<std::vector<BStarTree>, std::vector<int>, std::vector<bool>>
@@ -393,7 +454,7 @@ class Chain {
     rotated_.assign(nodes_.nodes.size(), false);
     plane_x_.assign(nodes_.nodes.size(), 0);
     plane_z_.assign(nodes_.nodes.size(), 0);
-    wl_of_net_.assign(nodes_.net_pins.size(), 0);
+    nets_.assign(nodes_.net_pins.size(), NetState{});
     net_stamp_.assign(nodes_.net_pins.size(), 0);
 
     // Big nodes first, round-robin across layers; each layer starts as a
@@ -529,14 +590,11 @@ class Chain {
           // Inverse move instead of a snapshot: rotate back and repack.
           rotated_[static_cast<std::size_t>(a)] = saved_rot;
           layers_[static_cast<std::size_t>(la)].mark_item_dirty(a);
-          changed_nodes_.push_back(a);
           repack(la);
           break;
         case Move::Swap:
           if (la == lb) {
             layers_[static_cast<std::size_t>(la)].swap_items(a, b);
-            changed_nodes_.push_back(a);
-            changed_nodes_.push_back(b);
             repack(la);
           } else {
             layers_[static_cast<std::size_t>(la)] = std::move(saved_a_);
@@ -560,9 +618,7 @@ class Chain {
           restore_planes_of_changed();
           break;
       }
-      // Re-evaluate the nets the candidate had touched to restore the
-      // wirelength caches (bases roll back here too, if they moved).
-      evaluate(false, nullptr, nullptr);
+      restore_evaluation();
     }
     return true;
   }
@@ -579,7 +635,7 @@ class Chain {
   std::vector<int> plane_x_;
   std::vector<int> plane_z_;
   std::vector<int> layer_base_;
-  std::vector<std::int64_t> wl_of_net_;
+  std::vector<NetState> nets_;
   std::vector<int> net_stamp_;
   int stamp_ = 0;
   std::int64_t total_wire_ = 0;
@@ -594,6 +650,12 @@ class Chain {
 
   // Per-move scratch (lane-local, so replicas need no shared slots).
   std::vector<int> changed_nodes_;
+  // Journal of the last evaluate (see restore_evaluation).
+  std::vector<std::pair<std::size_t, NetState>> journal_;
+  std::int64_t journal_total_wire_ = 0;
+  std::vector<int> journal_base_;
+  std::vector<int> shift_steps_;
+  bool bases_shifted_ = false;
   BStarTree saved_a_;
   BStarTree saved_b_;
   LayerCache saved_cache_a_;

@@ -17,7 +17,9 @@
 //
 // The inner loop is incremental end to end: every perturbation repacks
 // only the dirty suffix of its layer's B*-tree (BStarTree::pack_update)
-// and re-evaluates only the nets of nodes whose cells actually moved. All
+// and re-evaluates only the nets of nodes whose cells actually moved
+// (plus, after a layer-height change, the nets spanning a layer boundary
+// that shifted); a rejected move restores the journaled values. All
 // wirelength bookkeeping is exact integer arithmetic, so the tracked cost
 // never drifts from a full recompute (checked builds assert this at every
 // temperature-batch boundary).

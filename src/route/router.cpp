@@ -434,11 +434,13 @@ RoutingResult Router::run() {
       result.legal = true;
       break;
     }
-    if (plateau_abandons(result.overused_per_iter, opt_.abandon_at_plateau)) {
-      TQEC_LOG_DEBUG("pathfinder iter " << iter + 1 << ": plateau at "
-                                        << overused
-                                        << " overused cells; abandoning");
-      result.abandoned = true;
+    result.abandoned_by =
+        abandon_trigger(result.overused_per_iter, opt_.abandon_at_plateau);
+    if (result.abandoned_by != AbandonTrigger::None) {
+      TQEC_LOG_DEBUG("pathfinder iter "
+                     << iter + 1 << ": " << overused << " overused cells ("
+                     << abandon_trigger_name(result.abandoned_by)
+                     << "); abandoning");
       break;
     }
     present_factor = next_present;
@@ -475,7 +477,8 @@ RoutingResult Router::run() {
   // margin always offers a detour unless the cell was a pin-access cut,
   // in which case the result stays honestly illegal.
   for (int scan = 0;
-       !result.legal && !result.abandoned && !result.unroutable && scan < 20;
+       !result.legal && result.abandoned_by == AbandonTrigger::None &&
+       !result.unroutable && scan < 20;
        ++scan) {
     // Collect every currently overused cell in one fabric pass.
     std::vector<std::size_t> contested;
@@ -653,7 +656,9 @@ RoutingResult Router::run() {
   result.volume = result.bounding.volume();
   TQEC_LOG_INFO("routing: " << components << " components, legal="
                             << result.legal
-                            << (result.abandoned ? " (abandoned)" : "")
+                            << (result.abandoned_by != AbandonTrigger::None
+                                    ? " (abandoned)"
+                                    : "")
                             << (result.unroutable ? " (unroutable)" : "")
                             << " iters=" << result.iterations
                             << " wire=" << result.total_wire
@@ -666,16 +671,31 @@ RoutingResult Router::run() {
 
 }  // namespace
 
-bool plateau_abandons(const std::vector<int>& overused_per_iter,
-                      bool may_abandon) {
-  if (!may_abandon || overused_per_iter.size() < 2 ||
-      overused_per_iter.back() < kAbandonOverused)
-    return false;
+const char* abandon_trigger_name(AbandonTrigger trigger) {
+  switch (trigger) {
+    case AbandonTrigger::None: return "none";
+    case AbandonTrigger::Contraction: return "contraction";
+    case AbandonTrigger::Plateau: return "plateau";
+  }
+  return "none";
+}
+
+AbandonTrigger abandon_trigger(const std::vector<int>& overused_per_iter,
+                               bool may_abandon) {
+  if (!may_abandon || overused_per_iter.size() < 2)
+    return AbandonTrigger::None;
+  const std::int64_t first = overused_per_iter[0];
+  const std::int64_t last = overused_per_iter.back();
+  if (overused_per_iter.size() == 2 && last >= kContractionOverused &&
+      100 * last >= kContractionPercent * first)
+    return AbandonTrigger::Contraction;
+  if (last < kAbandonOverused) return AbandonTrigger::None;
   // The first adjacent pair whose count did not fall must end the series.
   const auto first_plateau =
       std::adjacent_find(overused_per_iter.begin(), overused_per_iter.end(),
                          std::less_equal<>());
-  return first_plateau + 2 == overused_per_iter.end();
+  return first_plateau + 2 == overused_per_iter.end() ? AbandonTrigger::Plateau
+                                                      : AbandonTrigger::None;
 }
 
 RoutingResult route_nets(const place::NodeSet& nodes,

@@ -92,11 +92,11 @@ struct RouteOptions {
   /// `--route-warm-start`): carry PathFinder history costs and final route
   /// windows from one attempt into the next via NegotiationMemory.
   bool warm_start = true;
-  /// Fail fast at the first congestion plateau (see plateau_abandons):
-  /// skip the remaining iterations and the hard-block repair and return
-  /// legal=false with `abandoned` set. Off by default, so a plain
-  /// route_nets call always runs to completion; core::compile switches it
-  /// on for its y_gap = 0 whitespace-escalation level only
+  /// Fail fast once a negotiation is recognizably doomed (see
+  /// abandon_trigger): skip the remaining iterations and the hard-block
+  /// repair and return legal=false with `abandoned_by` set. Off by default,
+  /// so a plain route_nets call always runs to completion; core::compile
+  /// switches it on for its y_gap = 0 whitespace-escalation level only
   /// (CompileOptions::abandon_plateaued_levels).
   bool abandon_at_plateau = false;
 };
@@ -118,14 +118,42 @@ inline constexpr int kStallSweeps = 2;
 /// plateau at 10-28.
 inline constexpr int kAbandonOverused = 10;
 
+/// Iteration-2 contraction trigger: a pass still holding at least
+/// kContractionOverused overused cells after iteration 2, and at least
+/// kContractionPercent % of its iteration-1 count, is given up there.
+/// Measured margin on the bench/escalation_corpus full set: no converging
+/// y_gap=0 pass holds more than 56 cells after iteration 2, while the
+/// failing passes the trigger catches hold 121-360 (the seed-7 paper rows
+/// keep 17-27 % of their iteration-1 count). The percentage keeps the
+/// rule scale-safe: a large pass can hold more than 100 cells after
+/// iteration 2 and still converge (ham15_107's y_gap=1 pass reads 1506,
+/// 81 — 5.4 %). The floor stays above 85 so that a failing pass such as
+/// rd84_142's (350, 85, ...) is left to its plateau.
+inline constexpr int kContractionOverused = 100;
+inline constexpr int kContractionPercent = 12;
+
+/// Which fail-fast trigger gave a pass up (RoutingResult::abandoned_by).
+enum class AbandonTrigger : std::uint8_t {
+  None,
+  Contraction,  // still heavily overused after iteration 2
+  Plateau,      // first congestion plateau at kAbandonOverused or more
+};
+
+/// "contraction", "plateau", or "none".
+const char* abandon_trigger_name(AbandonTrigger trigger);
+
 /// The fail-fast decision on a negotiation's overused-cell series so far
-/// (one entry per finished iteration): true when `may_abandon` is set and
-/// the last iteration is the series' first that did not reduce the
-/// overused count — the point where the negotiation would start its
-/// stall-triggered full sweeps — with at least kAbandonOverused cells
-/// still overused. A pure function, so recorded series can be replayed.
-bool plateau_abandons(const std::vector<int>& overused_per_iter,
-                      bool may_abandon);
+/// (one entry per finished iteration); None unless `may_abandon` is set.
+///   - Contraction: the series has exactly two entries and the second
+///     keeps at least kContractionOverused cells and at least
+///     kContractionPercent % of the first.
+///   - Plateau: the last iteration is the series' first that did not
+///     reduce the overused count — the point where the negotiation would
+///     start its stall-triggered full sweeps — with at least
+///     kAbandonOverused cells still overused.
+/// A pure function, so recorded series can be replayed.
+AbandonTrigger abandon_trigger(const std::vector<int>& overused_per_iter,
+                               bool may_abandon);
 
 /// Negotiation state carried between route_nets calls (core::compile's
 /// multi-seed restart loop): decayed PathFinder history costs addressed by
@@ -151,10 +179,10 @@ struct RoutedNet {
 struct RoutingResult {
   std::vector<RoutedNet> nets;
   bool legal = false;
-  /// The pass gave up at its first congestion plateau
-  /// (RouteOptions::abandon_at_plateau); legal is false and no hard-block
-  /// repair ran.
-  bool abandoned = false;
+  /// Not None when the pass gave up early
+  /// (RouteOptions::abandon_at_plateau): the trigger that fired; legal is
+  /// false and no hard-block repair ran.
+  AbandonTrigger abandoned_by = AbandonTrigger::None;
   /// Some component could not be connected even by a search over the
   /// whole fabric (obstacles and module cells cut a pin off); legal is
   /// false, the component has no cells, and no hard-block repair ran.

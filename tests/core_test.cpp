@@ -357,11 +357,14 @@ TEST(CompileTest, TracingDoesNotChangeResults) {
 // Fail-fast escalation (CompileOptions::abandon_plateaued_levels) must
 // not move any result: 4gt10 and 4gt4 route at y_gap=0, where the rule
 // must never fire; rd84_142 at workload seed 1 fails y_gap=0 and the rule
-// gives that level up at its first plateau.
+// gives that level up at its first plateau; hwb5_53 at workload seed 7
+// (the instance `tqec_compress benchmark` compiles) is still heavily
+// overused after iteration 2 and is given up there.
 struct AbandonCase {
   const char* benchmark;
   std::uint64_t workload_seed;
   bool abandons;
+  route::AbandonTrigger trigger = route::AbandonTrigger::Plateau;
 
   // Keeps the discovered test names stable (the default printer dumps the
   // bytes of the name pointer).
@@ -405,7 +408,11 @@ TEST_P(AbandonOnOffTest, BitIdenticalGeometry) {
   EXPECT_EQ(abandoned.y_gap, 0);
   EXPECT_EQ(abandoned.outcome, PassOutcome::Abandoned);
   EXPECT_EQ(a_off.passes[0].outcome, PassOutcome::Illegal);
-  // Abandoning cuts the failing series at its first plateau.
+  EXPECT_EQ(abandoned.abandoned_by, c.trigger);
+  if (c.trigger == route::AbandonTrigger::Contraction) {
+    EXPECT_EQ(abandoned.iterations, 2);
+  }
+  // Abandoning cuts the failing series short.
   ASSERT_LT(abandoned.overused_per_iter.size(),
             a_off.passes[0].overused_per_iter.size());
   EXPECT_TRUE(std::equal(abandoned.overused_per_iter.begin(),
@@ -418,7 +425,9 @@ INSTANTIATE_TEST_SUITE_P(
     EscalationRows, AbandonOnOffTest,
     ::testing::Values(AbandonCase{"4gt10-v1_81", 7, false},
                       AbandonCase{"4gt4-v0_73", 7, false},
-                      AbandonCase{"rd84_142", 1, true}),
+                      AbandonCase{"rd84_142", 1, true},
+                      AbandonCase{"hwb5_53", 7, true,
+                                  route::AbandonTrigger::Contraction}),
     [](const ::testing::TestParamInfo<AbandonCase>& info) {
       std::string name = info.param.benchmark;
       for (char& ch : name)

@@ -112,7 +112,7 @@ GridFixture random_fixture(std::uint64_t seed) {
 /// plus every schedule statistic the result exposes.
 void expect_identical(const RoutingResult& a, const RoutingResult& b) {
   EXPECT_EQ(a.legal, b.legal);
-  EXPECT_EQ(a.abandoned, b.abandoned);
+  EXPECT_EQ(a.abandoned_by, b.abandoned_by);
   EXPECT_EQ(a.unroutable, b.unroutable);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.overused_cells, b.overused_cells);
@@ -291,7 +291,7 @@ TEST(RouteParallelTest, AbandonedPassIdenticalAcrossThreadCounts) {
   opt.seed = copt.seed;
   opt.abandon_at_plateau = true;
   const RoutingResult one = route_nets(nodes, placement, opt);
-  EXPECT_TRUE(one.abandoned);
+  EXPECT_EQ(one.abandoned_by, AbandonTrigger::Plateau);
   EXPECT_FALSE(one.legal);
   EXPECT_EQ(one.repair_awarded + one.repair_failed, 0);
   ASSERT_EQ(one.overused_per_iter.size(), 6u);

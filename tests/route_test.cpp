@@ -518,25 +518,70 @@ TEST(RepairTest, AwardBlockReleasedBetweenScans) {
 // Fail-fast escalation rule on recorded y_gap=0 overuse series. The rule
 // looks only at the series, so replaying it over every prefix reproduces
 // the decision route_nets makes after each iteration.
-int abandon_iteration(const std::vector<int>& series, bool may_abandon) {
+struct Abandon {
+  int iteration = 0;  // 0: never abandons
+  AbandonTrigger trigger = AbandonTrigger::None;
+};
+
+Abandon replay(const std::vector<int>& series, bool may_abandon) {
   for (std::size_t n = 1; n <= series.size(); ++n)
-    if (plateau_abandons({series.begin(), series.begin() + n}, may_abandon))
-      return static_cast<int>(n);
-  return 0;
+    if (const AbandonTrigger t =
+            abandon_trigger({series.begin(), series.begin() + n}, may_abandon);
+        t != AbandonTrigger::None)
+      return {static_cast<int>(n), t};
+  return {};
+}
+
+int abandon_iteration(const std::vector<int>& series, bool may_abandon) {
+  return replay(series, may_abandon).iteration;
 }
 
 TEST(PlateauAbandonTest, ConvergingSeriesNeverAbandons) {
   // rd84_142 at workload seed 2: the largest plateau any converging pass
-  // of the corpus reaches (6 cells) before it legalizes.
+  // of the corpus reaches (6 cells) before it legalizes, and the largest
+  // iteration-2 overuse of any converging y_gap=0 pass (56).
   EXPECT_EQ(abandon_iteration({310, 56, 32, 16, 9, 6, 6, 6, 6, 6}, true), 0);
+  EXPECT_EQ(abandon_iteration({71, 13, 2, 1, 1, 0}, true), 0);
+  // ham15_107's y_gap=1 pass: more than 100 cells after iteration 2 but
+  // contracted to 5.4 % of iteration 1 — the percentage keeps it going.
+  EXPECT_EQ(abandon_iteration({1506, 81, 12, 1, 0}, true), 0);
 }
 
 TEST(PlateauAbandonTest, FailingSeriesAbandonsAtFirstPlateau) {
-  // cycle17_3_112 at workload seed 7: first non-decrease at iteration 8.
-  const std::vector<int> cycle17 = {1118, 193, 87, 46, 35, 25, 19, 19};
-  EXPECT_EQ(abandon_iteration(cycle17, true), 8);
+  // rd84_142 at workload seed 7: 85 cells after iteration 2 sits below
+  // the contraction floor, so the pass runs to its first non-decrease.
+  const std::vector<int> rd84 = {350, 85, 44, 31, 23, 18, 18};
+  const Abandon a = replay(rd84, true);
+  EXPECT_EQ(a.iteration, 7);
+  EXPECT_EQ(a.trigger, AbandonTrigger::Plateau);
   // A final-level pass is never allowed to abandon.
-  EXPECT_EQ(abandon_iteration(cycle17, false), 0);
+  EXPECT_EQ(abandon_iteration(rd84, false), 0);
+}
+
+TEST(PlateauAbandonTest, HeavyFailingSeriesAbandonsAtIterationTwo) {
+  // cycle17_3_112 and ham15_107 at workload seed 7: still 17 % and 16 %
+  // of their iteration-1 overuse after iteration 2.
+  for (const std::vector<int>& series :
+       {std::vector<int>{1118, 193, 87, 46, 35, 25, 19, 19},
+        std::vector<int>{2213, 356, 135, 72, 38, 23, 16, 14}}) {
+    const Abandon a = replay(series, true);
+    EXPECT_EQ(a.iteration, 2);
+    EXPECT_EQ(a.trigger, AbandonTrigger::Contraction);
+    EXPECT_EQ(abandon_iteration(series, false), 0);
+  }
+}
+
+TEST(PlateauAbandonTest, ContractionThresholdsAreInclusive) {
+  EXPECT_EQ(abandon_iteration({800, 100, 90, 80}, true), 2);
+  EXPECT_EQ(abandon_iteration({800, 99, 90, 80}, true), 0);   // floor
+  EXPECT_EQ(abandon_iteration({1000, 120, 90, 80}, true), 2);  // 12 %
+  EXPECT_EQ(abandon_iteration({1000, 119, 90, 80}, true), 0);
+  EXPECT_EQ(abandon_iteration({5000, 4000, 3000, 2000}, true), 2);
+  // Only iteration 2 is judged by contraction: 500 is 10 % of 5000, and
+  // the later counts are never compared with iteration 1.
+  EXPECT_EQ(abandon_iteration({5000, 500, 400, 300, 300}, true), 5);
+  EXPECT_EQ(replay({5000, 500, 400, 300, 300}, true).trigger,
+            AbandonTrigger::Plateau);
 }
 
 TEST(PlateauAbandonTest, OnlyTheFirstPlateauCounts) {

@@ -246,10 +246,22 @@ BAD_NUMBERS = [
     ("shard_window_2e10", {"shard_window": 2e10}),
 ]
 
+# Wrong-typed request values: each must be refused with bad_request and an
+# error naming its key (the id is read first, so it still routes the
+# response).
+BAD_TYPES = [
+    ("icm_number", {"icm": 5}, "icm"),
+    ("stats_string", {"stats": "yes"}, "stats"),
+    ("deadline_string", {"deadline_s": "1"}, "deadline_s"),
+    ("checkpoint_bool", {"checkpoint_dir": True}, "checkpoint_dir"),
+    ("mode_number", {"options": {"mode": 1}}, "mode"),
+]
+
 
 def check_number_ranges(binary):
-    """Each BAD_NUMBERS request must be refused with bad_request; a valid
-    request sent after them must still compile."""
+    """Each BAD_NUMBERS and BAD_TYPES request must be refused with
+    bad_request (a BAD_TYPES error naming its key); a valid request sent
+    after them must still compile."""
     proc = subprocess.Popen(
         [binary, "--threads=1"],
         stdin=subprocess.PIPE,
@@ -260,13 +272,16 @@ def check_number_ranges(binary):
     try:
         for rid, fields in BAD_NUMBERS:
             send(proc, dict({"id": rid, "icm": ICM}, **fields))
+        for rid, fields, _ in BAD_TYPES:
+            send(proc, dict({"id": rid, "icm": ICM}, **fields))
         # An infinite effort cannot be written with json.dumps; 1e999
         # parses as +inf.
         proc.stdin.write('{"id": "effort_inf", "icm": %s, '
                          '"options": {"effort": 1e999}}\n' % json.dumps(ICM))
         send(proc, {"id": "valid", "icm": ICM,
                     "options": {"jobs": 2.0, "place_restarts": 1}})
-        ids = [rid for rid, _ in BAD_NUMBERS] + ["effort_inf", "valid"]
+        ids = ([rid for rid, _ in BAD_NUMBERS] +
+               [rid for rid, _, _ in BAD_TYPES] + ["effort_inf", "valid"])
         responses = read_responses(proc, ids)
         proc.stdin.close()
         proc.wait(timeout=120)
@@ -286,6 +301,10 @@ def check_number_ranges(binary):
         assert "precondition" not in message and not re.search(
             r"[\w/\\]+\.(?:h|cpp)\b", message), (
             f"{rid}: error text leaks internals: {message!r}")
+    for rid, _, key in BAD_TYPES:
+        message = responses[rid]["error"]["message"]
+        assert f"'{key}'" in message, (
+            f"{rid}: error does not name '{key}': {message!r}")
     assert responses["valid"]["ok"], responses["valid"]
 
 

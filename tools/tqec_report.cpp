@@ -134,12 +134,19 @@ void render_attempts(const Value& stats) {
     for (const Value& p : passes->array) {
       if (!passes_header) {
         std::printf("\n  escalation levels\n");
-        std::printf("    %3s %6s %9s %9s %6s %12s %-10s %s\n", "#", "y_gap",
+        std::printf("    %3s %6s %9s %9s %6s %12s %-22s %s\n", "#", "y_gap",
                     "place_s", "route_s", "iters", "queue_pops", "outcome",
                     "overused/iter");
         passes_header = true;
       }
-      const Value* outcome = p.find("outcome");
+      // An abandoned level also names its trigger: "abandoned:contraction".
+      const Value* outcome_v = p.find("outcome");
+      std::string outcome = outcome_v != nullptr && outcome_v->is_string()
+                                ? outcome_v->string
+                                : "?";
+      if (const Value* by = p.find("abandoned_by");
+          by != nullptr && by->is_string())
+        outcome += ":" + by->string;
       const Value* over_v = p.find("overused_per_iter");
       const std::vector<double> over =
           over_v != nullptr ? numbers_of(*over_v) : std::vector<double>{};
@@ -150,14 +157,10 @@ void render_attempts(const Value& stats) {
                       over.back());
         trend = sparkline(over, 24) + range;
       }
-      std::printf("    %3zu %6.0f %9.3f %9.3f %6.0f %12.0f %-10s %s\n", k,
+      std::printf("    %3zu %6.0f %9.3f %9.3f %6.0f %12.0f %-22s %s\n", k,
                   num_or(p, "y_gap", 0), num_or(p, "place_s", 0),
                   num_or(p, "route_s", 0), num_or(p, "iterations", 0),
-                  num_or(p, "queue_pops", 0),
-                  outcome != nullptr && outcome->is_string()
-                      ? outcome->string.c_str()
-                      : "?",
-                  trend.c_str());
+                  num_or(p, "queue_pops", 0), outcome.c_str(), trend.c_str());
     }
   }
   // SA convergence and per-iteration overuse of the selected attempt.

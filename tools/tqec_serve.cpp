@@ -278,20 +278,30 @@ const char* mode_name(core::PipelineMode mode) {
   }
 }
 
-/// An integral request number; throws TqecError naming the key otherwise.
-std::int64_t int_field(const json::Value& v, const char* key) {
+/// A request value read with one of json::Value's typed accessors
+/// (as_string, as_bool, as_double, as_int); a wrong-typed value throws
+/// TqecError naming the key.
+template <typename T>
+T field(const json::Value& v, const char* key, T (json::Value::*as)() const) {
   try {
-    return v.as_int();
+    return (v.*as)();
   } catch (const TqecError& e) {
     throw TqecError(std::string("'") + key + "': " + e.what());
   }
+}
+
+std::string string_field(const json::Value& v, const char* key) {
+  return field(v, key, &json::Value::as_string);
+}
+bool bool_field(const json::Value& v, const char* key) {
+  return field(v, key, &json::Value::as_bool);
 }
 
 /// An integer request field within [lo, hi]; throws TqecError naming the
 /// key otherwise. Requests are untrusted: a worker count or attempt count
 /// goes on to size thread pools and seed vectors.
 int int_in_range(const json::Value& v, const char* key, int lo, int hi) {
-  const std::int64_t n = int_field(v, key);
+  const std::int64_t n = field(v, key, &json::Value::as_int);
   if (n < lo || n > hi)
     throw TqecError(std::string("'") + key + "' must be in [" +
                     std::to_string(lo) + ", " + std::to_string(hi) + "]");
@@ -306,17 +316,18 @@ constexpr int kMaxRequestThreads = 256;
 /// numbers (surfaced as bad_request by the caller).
 void apply_options(const json::Value& v, core::CompileOptions& opt) {
   if (const json::Value* m = v.find("mode")) {
-    const std::string& mode = m->as_string();
+    const std::string mode = string_field(*m, "mode");
     if (mode == "full") opt.mode = core::PipelineMode::Full;
     else if (mode == "dual") opt.mode = core::PipelineMode::DualOnly;
     else if (mode == "modular") opt.mode = core::PipelineMode::ModularOnly;
     else throw TqecError("unknown mode '" + mode + "'");
   }
   if (const json::Value* m = v.find("seed"))
-    opt.seed = static_cast<std::uint64_t>(int_field(*m, "seed"));
+    opt.seed =
+        static_cast<std::uint64_t>(field(*m, "seed", &json::Value::as_int));
   if (const json::Value* m = v.find("effort")) {
     // The placer scales its iteration count by effort and casts to int.
-    opt.effort = m->as_double();
+    opt.effort = field(*m, "effort", &json::Value::as_double);
     if (!std::isfinite(opt.effort) || opt.effort <= 0 || opt.effort > 64)
       throw TqecError("'effort' must be finite and in (0, 64]");
   }
@@ -324,7 +335,8 @@ void apply_options(const json::Value& v, core::CompileOptions& opt) {
     opt.jobs = int_in_range(*m, "jobs", 0, kMaxRequestThreads);
   if (const json::Value* m = v.find("place_restarts"))
     opt.place_restarts = int_in_range(*m, "place_restarts", 1, 64);
-  if (const json::Value* m = v.find("plan")) opt.plan_flips = m->as_bool();
+  if (const json::Value* m = v.find("plan"))
+    opt.plan_flips = bool_field(*m, "plan");
 }
 
 /// What the access log remembers about a request before it runs.
@@ -448,7 +460,7 @@ class Server {
       std::string id;
       bool hit = false;
       try {
-        id = cancel->as_string();
+        id = string_field(*cancel, "cancel");
         hit = inflight_.cancel(id);
       } catch (const std::exception& e) {
         out->write_line(error_line("", "bad_request", e.what()));
@@ -471,24 +483,25 @@ class Server {
     meta.t_recv = t_recv;
     bool want_stats = false;
     try {
-      if (const json::Value* v = doc.find("id")) req.id = v->as_string();
+      if (const json::Value* v = doc.find("id"))
+        req.id = string_field(*v, "id");
       if (const json::Value* v = doc.find("real"))
-        req.real_text = v->as_string();
+        req.real_text = string_field(*v, "real");
       if (const json::Value* v = doc.find("icm"))
-        req.icm_text = v->as_string();
+        req.icm_text = string_field(*v, "icm");
       if (const json::Value* v = doc.find("benchmark"))
-        req.benchmark = v->as_string();
+        req.benchmark = string_field(*v, "benchmark");
       if (const json::Value* v = doc.find("optimize"))
-        req.optimize = v->as_bool();
+        req.optimize = bool_field(*v, "optimize");
       if (const json::Value* v = doc.find("deadline_s"))
-        req.deadline_s = v->as_double();
+        req.deadline_s = field(*v, "deadline_s", &json::Value::as_double);
       // Table statistics only by default; geometry emission is the one
       // expensive output a service client usually doesn't want.
       req.options.emit_geometry = false;
       if (const json::Value* v = doc.find("geometry"))
-        req.options.emit_geometry = v->as_bool();
+        req.options.emit_geometry = bool_field(*v, "geometry");
       if (const json::Value* v = doc.find("stats"))
-        want_stats = v->as_bool();
+        want_stats = bool_field(*v, "stats");
       if (const json::Value* v = doc.find("options"))
         apply_options(*v, req.options);
       if (const json::Value* v = doc.find("shard_window"))
@@ -499,7 +512,7 @@ class Server {
         req.shard.threads =
             int_in_range(*v, "shard_threads", 0, kMaxRequestThreads);
       if (const json::Value* v = doc.find("checkpoint_dir"))
-        req.shard.checkpoint_dir = v->as_string();
+        req.shard.checkpoint_dir = string_field(*v, "checkpoint_dir");
     } catch (const std::exception& e) {
       meta.id = req.id;
       finish_rejected(meta, "bad_request", e.what(), out);
@@ -688,8 +701,8 @@ class Server {
     stats_.admin_requests.fetch_add(1, std::memory_order_relaxed);
     std::string what, id;
     try {
-      what = admin.as_string();
-      if (const json::Value* v = doc.find("id")) id = v->as_string();
+      what = string_field(admin, "admin");
+      if (const json::Value* v = doc.find("id")) id = string_field(*v, "id");
     } catch (const std::exception& e) {
       out->write_line(error_line(id, "bad_request", e.what()), id);
       return;
